@@ -2,16 +2,13 @@
 //! [`SimNode`] plus its timers, RNG streams, and metrics sinks, driven
 //! by whoever owns the sockets.
 //!
-//! Both runtimes — the thread-per-node reference loop in `runtime.rs`
-//! and the epoll reactor in `reactor.rs` — wrap this same core, which
-//! is what makes their same-seed equivalence more than a test
-//! assertion: everything that touches protocol state, RNG draws, or
-//! byte accounting lives here, and the runtimes differ only in how
-//! bytes and wakeups reach it.
+//! The epoll reactor in `reactor.rs` wraps one core per hosted node.
+//! Everything that touches protocol state, RNG draws, or byte
+//! accounting lives here, so the reactor decides only how bytes and
+//! wakeups reach a node — never what the node does with them.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eps_gossip::codec;
 use eps_gossip::{Channel, Envelope};
@@ -25,7 +22,8 @@ use eps_sim::{Rng, SimTime};
 /// progress counters the coordinator polls.
 #[derive(Debug, Default)]
 pub(crate) struct Shared {
-    /// Set once by the coordinator; every node thread exits its loop.
+    /// Set once by the coordinator (or a process node's stop timer);
+    /// every worker exits its loop.
     pub stop_all: AtomicBool,
     /// Intended deliveries, summed over all publishes so far.
     pub expected: AtomicU64,
@@ -33,17 +31,6 @@ pub(crate) struct Shared {
     pub delivered: AtomicU64,
     /// Nodes whose publish schedule is exhausted.
     pub publishers_done: AtomicU64,
-}
-
-/// Everything a node thread borrows from the cluster for one run.
-#[derive(Clone)]
-pub(crate) struct RunEnv {
-    pub shared: Arc<Shared>,
-    /// Per-node stop flag (restart support: stops one node only).
-    pub control: Arc<AtomicBool>,
-    /// The cluster's common time origin; wall time since `start` plays
-    /// the role of the simulator's virtual time.
-    pub start: Instant,
 }
 
 /// One message the core wants on the wire: the target, which channel
@@ -78,7 +65,6 @@ pub(crate) struct NodeParams {
     pub gossip_interval: SimTime,
     pub adaptive: Option<AdaptiveGossip>,
     pub duration: SimTime,
-    pub queue_capacity: usize,
 }
 
 /// The protocol state of one socket-mode node. Owns no sockets;
@@ -102,7 +88,6 @@ pub(crate) struct NodeCore {
     gossip_interval: SimTime,
     adaptive: Option<AdaptiveGossip>,
     duration: SimTime,
-    pub queue_capacity: usize,
 
     gossip_rng: Rng,
     loss_rng: Rng,
@@ -154,7 +139,6 @@ impl NodeCore {
             gossip_interval: params.gossip_interval,
             adaptive: params.adaptive,
             duration: params.duration,
-            queue_capacity: params.queue_capacity,
             gossip_rng,
             loss_rng: setup.loss_rng,
             tracker: DeliveryTracker::new(),
@@ -189,7 +173,7 @@ impl NodeCore {
     }
 
     /// Reports an empty publish schedule to the convergence counters;
-    /// call once before the first poll/loop iteration.
+    /// call once before the first loop iteration.
     pub(crate) fn bootstrap(&mut self, shared: &Shared) {
         if self.publish_vnext.is_none() {
             self.report_publish_done(shared);
@@ -205,8 +189,7 @@ impl NodeCore {
 
     /// The earliest virtual time at which a timer is due: the next
     /// publish tick (if the schedule is live) or the next gossip round.
-    /// Both runtimes sleep/arm against this one helper, so neither can
-    /// drift into busy-polling or late ticks independently.
+    /// The reactor arms its timer wheel against this one helper.
     pub(crate) fn next_deadline(&self) -> SimTime {
         match self.publish_vnext {
             Some(p) => p.min(self.gossip_vnext),
@@ -296,14 +279,11 @@ impl NodeCore {
     /// publish tick (renewal uses the *scheduled* time, exactly like
     /// the simulator's queue — wall-clock jitter must not change how
     /// many events a seed publishes) and as many gossip rounds as have
-    /// come due. Returns whether anything fired and the traffic it
-    /// produced.
-    pub(crate) fn tick_timers(&mut self, now: SimTime, shared: &Shared) -> (bool, Vec<Outbound>) {
-        let mut worked = false;
+    /// come due. Returns the traffic they produced.
+    pub(crate) fn tick_timers(&mut self, now: SimTime, shared: &Shared) -> Vec<Outbound> {
         let mut sends = Vec::new();
         if let Some(vnext) = self.publish_vnext {
             if now >= vnext {
-                worked = true;
                 let expected_before = self.tracker.expected_total();
                 let trace_before = self.trace_len();
                 let (out, delay) = {
@@ -342,7 +322,6 @@ impl NodeCore {
         // recovery needs rounds to finish the job. Documented as a
         // sim/net equivalence rule.
         while now >= self.gossip_vnext {
-            worked = true;
             let (out, next) = {
                 let mut ctx = NodeCtx {
                     now,
@@ -361,7 +340,7 @@ impl NodeCore {
             sends.extend(self.route(out));
             self.gossip_vnext += next;
         }
-        (worked, sends)
+        sends
     }
 
     /// Encodes one batch of node output, charging the send-layer
@@ -425,11 +404,15 @@ impl NodeCore {
     }
 }
 
-/// Dial-retry backoff with jitter: the deterministic base doubles up
-/// to the cap, but each wait is scaled by a uniform draw in
-/// `[0.5, 1.5)` from the node's dial stream — so peers restarted
-/// together do not hammer an acceptor in lockstep. Shared by both
-/// runtimes.
+/// First dial-retry wait after a failed connect.
+pub(crate) const BACKOFF_START: Duration = Duration::from_millis(10);
+/// Ceiling of the doubling dial-retry wait.
+pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(500);
+
+/// Dial-retry backoff with jitter: the deterministic base doubles from
+/// [`BACKOFF_START`] up to [`BACKOFF_CAP`], but each wait is scaled by
+/// a uniform draw in `[0.5, 1.5)` from the node's dial stream — so
+/// peers restarted together do not hammer an acceptor in lockstep.
 pub(crate) fn jittered_backoff(base: Duration, dial_rng: &mut Rng) -> Duration {
     base.mul_f64(dial_rng.random_range(0.5..1.5))
 }

@@ -1,9 +1,8 @@
 //! The epoll reactor runtime: thousands of dispatchers per process.
 //!
-//! Where the reference runtime (`runtime.rs`) gives every dispatcher
-//! its own thread, the reactor multiplexes *all* TCP tree links and
-//! UDP out-of-band sockets onto a small fixed pool of worker threads,
-//! each owning a contiguous slice of nodes:
+//! The reactor multiplexes *all* TCP tree links and UDP out-of-band
+//! sockets onto a small fixed pool of worker threads, each owning a
+//! contiguous slice of nodes:
 //!
 //! ```text
 //!  worker 0 ───────────────┐   worker 1 ───────────────┐
@@ -26,16 +25,17 @@
 //!   write buffer and are flushed once per readiness cycle — one
 //!   `write` syscall per link per batch instead of one per envelope.
 //!   A full buffer sheds new frames into `queue_drops`
-//!   (backpressure), exactly like the thread runtime's bounded outbox.
+//!   (backpressure) instead of growing.
 //! - **Connection state machines.** Dial retry/backoff (with jitter)
 //!   and forced-restart semantics live in per-link `Down →
 //!   Connecting → Up` state driven by epoll events, not thread state.
 //!
-//! The protocol state is the same `NodeCore` the thread runtime
-//! drives, booted by the same `boot_population`, reported through the
-//! same `aggregate_cores` — a `RuntimeKind` choice cannot change what
-//! a seed publishes or how bytes are accounted (pinned by the
-//! reactor-vs-thread crossval cell).
+//! Protocol state lives in `NodeCore`, booted by `boot_slice` and
+//! reported through `aggregate_cores`, so the reactor cannot change
+//! what a seed publishes or how bytes are accounted (pinned by the
+//! sim-vs-reactor crossval cells). The same `Worker` also hosts the
+//! single node of a multi-process deployment ([`run_process_node`]):
+//! a slice of one, with the full registry for dialing its peers.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -51,12 +51,11 @@ use eps_overlay::{LinkId, NodeId};
 use eps_sim::{Rng, SimTime};
 
 use crate::cluster::{
-    aggregate_cores, bind_with_retry, boot_population, wait_for_convergence, Boot, NetConfig,
-    NetRunReport, NodeAddrs,
+    aggregate_cores, bind_with_retry, boot_population, boot_slice, wait_for_convergence, Boot,
+    BootNode, NetConfig, NetRunReport, NodeAddrs,
 };
-use crate::core::{jittered_backoff, NodeCore, Outbound, Shared};
+use crate::core::{jittered_backoff, NodeCore, Outbound, Shared, BACKOFF_CAP, BACKOFF_START};
 use crate::frame::FrameReader;
-use crate::runtime::{BACKOFF_CAP, BACKOFF_START};
 use crate::syscalls::{
     drain_counter, epoll_add, epoll_create, epoll_mod, epoll_wait, eventfd_create, eventfd_signal,
     take_socket_error, tcp_connect_start, timerfd_arm, timerfd_create, EpollEvent, OwnedFd,
@@ -124,6 +123,8 @@ pub(crate) enum TimerToken {
 /// land in `deadline / granularity % slots`; firing checks the real
 /// deadline, so entries beyond one revolution simply wait in place
 /// (the classic reinsert-if-not-due rule, with the reinsert implicit).
+/// A deadline already behind the walked-through tick is filed at that
+/// tick instead, so the next `fire_due` still visits it.
 pub(crate) struct TimerWheel {
     slots: Vec<Vec<(u64, TimerToken)>>,
     granularity: u64,
@@ -143,7 +144,11 @@ impl TimerWheel {
     }
 
     pub(crate) fn insert(&mut self, deadline_ns: u64, token: TimerToken) {
-        let idx = ((deadline_ns / self.granularity) % self.slots.len() as u64) as usize;
+        // A lagging worker re-arms with deadlines that are already
+        // past; filed by their own tick they would land in a slot the
+        // walk has left behind and wait out a whole revolution.
+        let tick = (deadline_ns / self.granularity).max(self.last_tick);
+        let idx = (tick % self.slots.len() as u64) as usize;
         self.slots[idx].push((deadline_ns, token));
         self.len += 1;
     }
@@ -213,9 +218,9 @@ pub(crate) struct FlushOutcome {
 
 /// The coalescing write buffer of one link: queued frames share one
 /// contiguous byte run, flushed with one `write` per readiness cycle.
-/// Bounded in *frames* (same unit as the thread runtime's outbox);
-/// overflow is the caller's `queue_drops`. Survives reconnects by
-/// rewinding to the first frame the dead connection did not complete.
+/// Bounded in *frames* (`NetConfig::queue_capacity`); overflow is the
+/// caller's `queue_drops`. Survives reconnects by rewinding to the
+/// first frame the dead connection did not complete.
 pub(crate) struct LinkBuf {
     buf: Vec<u8>,
     /// Bytes of `buf` written to the current connection.
@@ -506,7 +511,7 @@ impl Worker {
     #[allow(clippy::too_many_arguments)]
     fn new(
         base: usize,
-        boots: Vec<crate::cluster::BootNode>,
+        boots: Vec<BootNode>,
         registry: Vec<NodeAddrs>,
         shared: Arc<Shared>,
         start: Instant,
@@ -661,7 +666,7 @@ impl Worker {
             return;
         }
         let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-        let (_, sends) = node.core.tick_timers(now, shared);
+        let sends = node.core.tick_timers(now, shared);
         dispatch_sends(node, ni, sends, registry, dirty);
         wheel.insert(node.core.next_deadline().as_nanos(), TimerToken::Node(ni));
         node.timer_armed = true;
@@ -1137,7 +1142,7 @@ struct WorkerHandle {
 
 /// A running reactor cluster: the whole population multiplexed onto a
 /// fixed pool of epoll worker threads. Same protocol, same seeds,
-/// same report schema as [`crate::Cluster`].
+/// same report schema as the simulator.
 pub struct ReactorCluster {
     config: NetConfig,
     registry: Vec<NodeAddrs>,
@@ -1214,9 +1219,10 @@ impl ReactorCluster {
 
     /// Asks the owning worker to stop node `index`, keep it down for
     /// `pause`, then rebind and resume it with protocol state intact.
-    /// Unlike the thread cluster's restart this is asynchronous: the
-    /// request is queued and the call returns immediately (the worker
-    /// must keep serving its other nodes).
+    /// While the node is down, its peers' dialers fail and back off;
+    /// their retries show up in `NetCounters::connect_retries`. The
+    /// request is asynchronous: it is queued and the call returns
+    /// immediately (the worker must keep serving its other nodes).
     pub fn restart_node(&mut self, index: usize, pause: Duration) -> std::io::Result<()> {
         let worker = self
             .workers
@@ -1262,6 +1268,68 @@ impl ReactorCluster {
 /// reports — the one-call entry point tests and the binaries use.
 pub fn run_reactor_cluster(config: NetConfig, workers: usize) -> std::io::Result<NetRunReport> {
     Ok(ReactorCluster::launch(config, workers)?.finish())
+}
+
+/// Runs node `index` of a *multi-process* cluster in the current
+/// process, binding the addresses `registry[index]` and dialing the
+/// rest. Every process derives the identical population from the
+/// shared seed; peers may start in any order (the dialers retry with
+/// backoff until their acceptors come up).
+///
+/// The node is hosted by a reactor worker on the calling thread. It
+/// runs for the scenario duration plus the full drain budget — with
+/// no shared memory there is no cross-process convergence signal —
+/// and reports this node's *local view*: its own publishes and
+/// deliveries, its own counters. Cluster-wide delivery rates require
+/// the single-process mode, where the coordinator sees every sink.
+pub fn run_process_node(
+    config: &NetConfig,
+    index: usize,
+    registry: Vec<NodeAddrs>,
+) -> std::io::Result<NetRunReport> {
+    config.validate();
+    assert_eq!(
+        registry.len(),
+        config.scenario.nodes,
+        "one address per dispatcher"
+    );
+    assert!(index < config.scenario.nodes, "node index out of range");
+    let listener = TcpListener::bind(registry[index].tcp)?;
+    let udp = UdpSocket::bind(registry[index].udp)?;
+    let Boot {
+        registry,
+        nodes,
+        setup_subscription_msgs,
+    } = boot_slice(config, registry, index, vec![(listener, udp)]);
+    let shared = Arc::new(Shared::default());
+    let wake = eventfd_create()?;
+    let worker = Worker::new(
+        index,
+        nodes,
+        registry,
+        Arc::clone(&shared),
+        Instant::now(),
+        Arc::new(Mutex::new(VecDeque::new())),
+        wake.raw(),
+        config.queue_capacity,
+    )?;
+    let wall = Duration::from_nanos(config.scenario.duration.as_nanos()) + config.drain;
+    let wake_fd = wake.raw();
+    let stop_timer = std::thread::Builder::new()
+        .name("eps-net-stop-timer".into())
+        .spawn(move || {
+            std::thread::sleep(wall);
+            shared.stop_all.store(true, Ordering::Relaxed);
+            let _ = eventfd_signal(wake_fd);
+        })?;
+    let cores = worker.run();
+    // Joined before `wake` drops, so the signal never hits a closed fd.
+    stop_timer.join().expect("stop timer panicked");
+    Ok(aggregate_cores(
+        &config.scenario,
+        &cores,
+        setup_subscription_msgs,
+    ))
 }
 
 #[cfg(test)]
@@ -1317,7 +1385,20 @@ mod tests {
         assert_eq!(out, vec![TimerToken::Node(2)]);
     }
 
-    /// The satellite-4 partial-frame case: one frame arriving in
+    /// A worker that lags re-arms with a deadline the wheel has
+    /// already walked past; it must fire on the next walk, not one
+    /// revolution later.
+    #[test]
+    fn wheel_fires_a_past_deadline_inserted_after_the_walk() {
+        let mut wheel = TimerWheel::new(4096, 1_000_000);
+        let mut out = Vec::new();
+        wheel.fire_due(10_000_000, &mut out);
+        wheel.insert(2_000_000, TimerToken::Node(7));
+        wheel.fire_due(10_500_000, &mut out);
+        assert_eq!(out, vec![TimerToken::Node(7)]);
+    }
+
+    /// The partial-frame case: one frame arriving in
     /// pieces across readiness cycles (separate `drain_stream` calls
     /// with a persistent reader) reassembles exactly once.
     #[test]
@@ -1355,7 +1436,7 @@ mod tests {
         assert!(disconnected);
     }
 
-    /// The satellite-4 backpressure case: a bounded LinkBuf sheds
+    /// The backpressure case: a bounded LinkBuf sheds
     /// frames at capacity (the caller counts `queue_drops`), reports
     /// `Blocked` against a full socket, and finishes the flush once
     /// the peer drains.

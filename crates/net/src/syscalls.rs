@@ -9,8 +9,8 @@
 //! reactor above is entirely safe code.
 //!
 //! Supported targets: `x86_64-linux` and `aarch64-linux`. Elsewhere
-//! every entry point returns `ENOSYS`-style errors at runtime (the
-//! thread runtime remains available), so the crate still compiles.
+//! every entry point returns `ENOSYS`-style errors at runtime, so the
+//! crate still compiles but a socket run fails at launch.
 #![allow(unsafe_code)]
 
 use std::io;

@@ -1,9 +1,10 @@
 //! Sim-vs-wire cross-validation: the same seed, topology, and
 //! workload run once through the virtual-time simulator and once over
-//! loopback sockets. The shared population builder and the mirrored
-//! publish schedule make the two runs publish the *identical* event
-//! sequence; the shared codec makes their byte accounting identical
-//! by construction.
+//! loopback sockets on the epoll reactor (two workers, so tree links
+//! cross worker boundaries). The shared population builder and the
+//! mirrored publish schedule make the two runs publish the *identical*
+//! event sequence; the shared codec makes their byte accounting
+//! identical by construction.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,7 +12,7 @@ use std::time::Duration;
 use eps_gossip::codec;
 use eps_gossip::{Algorithm, Envelope, GossipMessage};
 use eps_harness::{run_scenario, ScenarioConfig};
-use eps_net::{run_cluster, run_cluster_as, NetConfig, RuntimeKind};
+use eps_net::{run_reactor_cluster, NetConfig, NetRunReport};
 use eps_overlay::{NodeId, OverlayKind};
 use eps_pubsub::{Event, EventId, LossRecord, PatternId, RangeDetail, RangeRef, RangeSummary};
 use eps_sim::SimTime;
@@ -22,6 +23,19 @@ fn loss() -> LossRecord {
         pattern: PatternId::new(3),
         seq: 9,
     }
+}
+
+/// One wire run of `scenario` on two reactor workers.
+fn run_on_reactor(scenario: &ScenarioConfig, drain: Duration) -> NetRunReport {
+    run_reactor_cluster(
+        NetConfig {
+            scenario: scenario.clone(),
+            drain,
+            ..NetConfig::default()
+        },
+        2,
+    )
+    .expect("reactor boots")
 }
 
 fn crossval_scenario() -> ScenarioConfig {
@@ -63,12 +77,7 @@ fn sim_and_loopback_agree_on_workload_and_convergence() {
     );
     assert!(sim.events_recovered > 0, "sim recovery engaged");
 
-    let report = run_cluster(NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
-    .expect("cluster boots");
+    let report = run_on_reactor(&scenario, Duration::from_secs(4));
 
     assert_eq!(
         report.result.events_published, sim.events_published,
@@ -108,12 +117,7 @@ fn sim_and_loopback_agree_on_a_barabasi_albert_graph() {
         "cross links carried duplicate copies in sim"
     );
 
-    let report = run_cluster(NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
-    .expect("cluster boots");
+    let report = run_on_reactor(&scenario, Duration::from_secs(4));
 
     assert_eq!(
         report.result.events_published, sim.events_published,
@@ -154,12 +158,7 @@ fn sim_and_loopback_agree_with_multi_client_dispatchers() {
         sim.aggregate_patterns
     );
 
-    let report = run_cluster(NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
-    .expect("cluster boots");
+    let report = run_on_reactor(&scenario, Duration::from_secs(4));
 
     assert_eq!(
         report.result.events_published, sim.events_published,
@@ -211,12 +210,7 @@ fn sim_and_loopback_agree_with_summary_reconciliation() {
     assert!(sim.events_recovered > 0, "sim recovery engaged");
     assert!(sim.gossip_wire_bits > 0, "sim accounted digest bits");
 
-    let report = run_cluster(NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    })
-    .expect("cluster boots");
+    let report = run_on_reactor(&scenario, Duration::from_secs(4));
 
     assert_eq!(
         report.result.events_published, sim.events_published,
@@ -237,64 +231,6 @@ fn sim_and_loopback_agree_with_summary_reconciliation() {
     assert_eq!(report.trace_dropped, 0, "trace capacity sufficed");
 }
 
-/// The runtime-equivalence cell: the same seed through the simulator,
-/// the thread-per-node runtime, and the epoll reactor. The two socket
-/// runtimes share one protocol core (`NodeCore`), one population
-/// boot, and one aggregation path — so the workload identity and all
-/// boot-derived routing state must be *equal*, not merely close, and
-/// both must converge. This is the contract that lets the reactor
-/// replace thread-per-node without re-validating the protocol.
-#[test]
-fn reactor_and_thread_runtimes_agree_with_sim_on_the_same_seed() {
-    let scenario = crossval_scenario();
-    let sim = run_scenario(&scenario);
-
-    let config = || NetConfig {
-        scenario: scenario.clone(),
-        drain: Duration::from_secs(4),
-        ..NetConfig::default()
-    };
-    let thread = run_cluster_as(config(), RuntimeKind::Thread).expect("thread cluster boots");
-    let reactor =
-        run_cluster_as(config(), RuntimeKind::Reactor { workers: 2 }).expect("reactor boots");
-
-    for (name, report) in [("thread", &thread), ("reactor", &reactor)] {
-        assert_eq!(
-            report.result.events_published, sim.events_published,
-            "{name}: same seed must publish the same event sequence as sim"
-        );
-        assert_eq!(
-            report.result.overall_delivery_rate, 1.0,
-            "{name}: the wire run converges to 100%; got {:?}",
-            report.result
-        );
-        assert!(
-            report.net.injected_drops > 0,
-            "{name}: loss injection exercised"
-        );
-        assert_eq!(report.net.decode_errors, 0, "{name}: codec never misparses");
-        assert_eq!(report.trace_dropped, 0, "{name}: trace capacity sufficed");
-    }
-    // Boot-derived state is bit-identical across runtimes, not just
-    // statistically alike.
-    assert_eq!(
-        reactor.result.routing_entries,
-        thread.result.routing_entries
-    );
-    assert_eq!(
-        reactor.result.client_subscriptions,
-        thread.result.client_subscriptions
-    );
-    assert_eq!(
-        reactor.result.aggregate_patterns,
-        thread.result.aggregate_patterns
-    );
-    assert_eq!(
-        reactor.result.setup_subscription_msgs,
-        thread.result.setup_subscription_msgs
-    );
-}
-
 /// Determinism of the workload identity itself: two net runs with the
 /// same seed publish the same count, and a different seed does not.
 #[test]
@@ -304,20 +240,10 @@ fn net_workload_is_seed_deterministic() {
     scenario.duration = SimTime::from_millis(600);
     scenario.warmup = SimTime::from_millis(100);
     scenario.cooldown = SimTime::from_millis(100);
-    let config = |seed| NetConfig {
-        scenario: ScenarioConfig {
-            seed,
-            ..scenario.clone()
-        },
-        drain: Duration::from_secs(2),
-        ..NetConfig::default()
-    };
-    let a = run_cluster(config(21)).expect("cluster boots");
-    let b = run_cluster(config(21)).expect("cluster boots");
-    let sim = run_scenario(&ScenarioConfig {
-        seed: 21,
-        ..scenario.clone()
-    });
+    scenario.seed = 21;
+    let a = run_on_reactor(&scenario, Duration::from_secs(2));
+    let b = run_on_reactor(&scenario, Duration::from_secs(2));
+    let sim = run_scenario(&scenario);
     assert_eq!(a.result.events_published, b.result.events_published);
     assert_eq!(a.result.events_published, sim.events_published);
 }
@@ -325,7 +251,7 @@ fn net_workload_is_seed_deterministic() {
 /// The byte-accounting half of the cross-validation, stated directly:
 /// for every message class, the codec's framed body is exactly
 /// `wire_bits / 8` bytes — the simulator's accounting IS the wire
-/// format's size. (The runtime also asserts this on every send, so
+/// format's size. (The reactor also asserts this on every send, so
 /// the cluster tests above exercise it over thousands of live
 /// messages.)
 #[test]
