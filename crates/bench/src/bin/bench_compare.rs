@@ -17,9 +17,11 @@
 //! `--advisory-prefix` demotes matching benchmark names to
 //! advisory-only even under `--strict` — for entries (like the
 //! one-shot topology builds) whose single-iteration timings are too
-//! coarse to gate hard. Benchmarks present on only one side are listed
-//! but never fail the comparison (new benches appear, old ones
-//! retire).
+//! coarse to gate hard. A benchmark new in the current run is listed
+//! but never fails the comparison. A gated baseline benchmark missing
+//! from the current run counts as a regression, so a gated bench
+//! cannot vanish unnoticed; retiring one means deleting its baseline
+//! entry.
 
 use std::process::ExitCode;
 
@@ -63,32 +65,37 @@ fn parse(path: &str) -> Result<Vec<Entry>, String> {
     Ok(out)
 }
 
-/// Compares one baseline/current pair; returns the regressed names.
-/// Names matching an advisory prefix are reported but never returned.
+/// Compares one baseline/current pair; returns the regressed names:
+/// gated entries slower by more than the threshold, and gated
+/// baseline entries missing from the current run. Names matching an
+/// advisory prefix are reported but never returned.
 fn compare(
-    baseline_path: &str,
-    current_path: &str,
+    baseline: &[Entry],
+    current: &[Entry],
     threshold_pct: f64,
     advisory_prefixes: &[String],
-) -> Result<Vec<String>, String> {
-    let baseline = parse(baseline_path)?;
-    let current = parse(current_path)?;
+) -> Vec<String> {
     let mut regressions = Vec::new();
-    println!("comparing {current_path} against {baseline_path} (threshold {threshold_pct}%):");
     println!(
         "  {:<40} {:>14} {:>14} {:>9}",
         "benchmark", "baseline ns", "current ns", "delta"
     );
-    for b in &baseline {
+    for b in baseline {
+        let advisory = advisory_prefixes.iter().any(|p| b.name.starts_with(p));
         let Some(c) = current.iter().find(|c| c.name == b.name) else {
+            let flag = if advisory {
+                ""
+            } else {
+                regressions.push(b.name.clone());
+                "  MISSING"
+            };
             println!(
-                "  {:<40} {:>14.1} {:>14} {:>9}",
-                b.name, b.median_ns, "-", "gone"
+                "  {:<40} {:>14.1} {:>14} {:>9}{}",
+                b.name, b.median_ns, "-", "gone", flag
             );
             continue;
         };
         let delta_pct = (c.median_ns - b.median_ns) / b.median_ns * 100.0;
-        let advisory = advisory_prefixes.iter().any(|p| b.name.starts_with(p));
         let flag = if delta_pct > threshold_pct {
             if advisory {
                 "  regressed (advisory)"
@@ -104,7 +111,7 @@ fn compare(
             b.name, b.median_ns, c.median_ns, delta_pct, flag
         );
     }
-    for c in &current {
+    for c in current {
         if !baseline.iter().any(|b| b.name == c.name) {
             println!(
                 "  {:<40} {:>14} {:>14.1} {:>9}",
@@ -112,7 +119,7 @@ fn compare(
             );
         }
     }
-    Ok(regressions)
+    regressions
 }
 
 fn main() -> ExitCode {
@@ -160,20 +167,30 @@ fn main() -> ExitCode {
 
     let mut regressions = Vec::new();
     for pair in files.chunks(2) {
-        match compare(&pair[0], &pair[1], threshold_pct, &advisory_prefixes) {
-            Ok(mut r) => regressions.append(&mut r),
-            Err(e) => {
+        let (baseline, current) = match (parse(&pair[0]), parse(&pair[1])) {
+            (Ok(b), Ok(c)) => (b, c),
+            (Err(e), _) | (_, Err(e)) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
-        }
+        };
+        println!(
+            "comparing {} against {} (threshold {threshold_pct}%):",
+            pair[1], pair[0]
+        );
+        regressions.extend(compare(
+            &baseline,
+            &current,
+            threshold_pct,
+            &advisory_prefixes,
+        ));
     }
     if regressions.is_empty() {
         println!("no regressions beyond {threshold_pct}%");
         ExitCode::SUCCESS
     } else {
         println!(
-            "{} regression(s) beyond {threshold_pct}%: {}",
+            "{} regression(s) beyond {threshold_pct}% or missing: {}",
             regressions.len(),
             regressions.join(", ")
         );
@@ -183,5 +200,35 @@ fn main() -> ExitCode {
             println!("(advisory mode: not failing; pass --strict to gate)");
             ExitCode::SUCCESS
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(name: &str, median_ns: f64) -> Entry {
+        Entry {
+            name: name.to_owned(),
+            median_ns,
+        }
+    }
+
+    #[test]
+    fn a_missing_gated_entry_is_a_regression() {
+        let baseline = [entry("engine_schedule_pop", 80.0), entry("rng", 3.0)];
+        let current = [entry("rng", 3.0)];
+        assert_eq!(
+            compare(&baseline, &current, 25.0, &[]),
+            vec!["engine_schedule_pop".to_owned()]
+        );
+    }
+
+    #[test]
+    fn a_missing_advisory_entry_and_a_new_entry_pass() {
+        let baseline = [entry("topology_build/n10", 1e6), entry("rng", 3.0)];
+        let current = [entry("rng", 3.0), entry("brand_new", 9.0)];
+        let advisory = ["topology_build".to_owned()];
+        assert!(compare(&baseline, &current, 25.0, &advisory).is_empty());
     }
 }

@@ -77,7 +77,6 @@ fn main() -> ExitCode {
     let mut results = node_memory();
     results.extend([
         engine_schedule_pop(),
-        engine_cancel(),
         table_matching(),
         table_matching_dense(),
         detector_record(),
@@ -176,23 +175,6 @@ fn engine_schedule_pop() -> BenchResult {
         let mut engine: Engine<u64> = Engine::new();
         for i in 0..N {
             engine.schedule(SimTime::from_nanos(rng.random_below(1 << 30)), i);
-        }
-        while engine.pop().is_some() {}
-    })
-}
-
-/// Schedule N events, cancel every other one, drain the rest: the
-/// tombstone path.
-fn engine_cancel() -> BenchResult {
-    const N: u64 = 10_000;
-    let mut rng = Rng::from_seed(2);
-    bench("engine_cancel_drain", 3, 15, 2 * N, || {
-        let mut engine: Engine<u64> = Engine::new();
-        let ids: Vec<_> = (0..N)
-            .map(|i| engine.schedule(SimTime::from_nanos(rng.random_below(1 << 30)), i))
-            .collect();
-        for id in ids.iter().step_by(2) {
-            engine.cancel(*id);
         }
         while engine.pop().is_some() {}
     })

@@ -35,6 +35,7 @@ mod result;
 mod scenario;
 mod sharded;
 mod trace;
+mod world;
 
 pub use config::{AdaptiveGossip, ScenarioConfig};
 pub use node::{routing_stats, NodeCtx, Outgoing, SimNode};
@@ -43,3 +44,4 @@ pub use result::{assemble, RoutingStats, ScenarioResult};
 pub use scenario::{run_scenario, run_scenario_traced};
 pub use sharded::{run_scenario_sharded, run_scenario_sharded_with_stats, ShardedRunStats};
 pub use trace::{ScenarioTrace, TraceRecord};
+pub use world::{charge_send, harvest};

@@ -5,17 +5,15 @@
 
 use eps_gossip::{Channel, Envelope};
 use eps_metrics::{DeliveryTracker, MessageCounters};
-use eps_overlay::{
-    plan_reconnection, LinkSpec, NetTransport, NodeId, RoutingView, Topology, Transport,
-};
-use eps_pubsub::{rebuild_subscription_routes, ClientId, PatternId, PatternSpace, PubSubMessage};
+use eps_overlay::{LinkSpec, NetTransport, NodeId, Transport};
 use eps_sim::{Engine, Rng, RngFactory, SimTime};
 
 use crate::config::ScenarioConfig;
-use crate::node::{routing_stats, NodeCtx, Outgoing, SimNode};
-use crate::population::{build_population, cross_targets_for, Population};
-use crate::result::{assemble, ScenarioResult};
+use crate::node::{NodeCtx, Outgoing, SimNode};
+use crate::population::build_population;
+use crate::result::ScenarioResult;
 use crate::trace::{ScenarioTrace, TraceRecord};
+use crate::world::{charge_send, harvest, run_tracker, World};
 
 /// Runs one scenario to completion.
 ///
@@ -75,28 +73,15 @@ enum SimEvent {
     Repair,
 }
 
-/// The orchestrator. Per-node state lives in the [`SimNode`]s; the
-/// scenario only keeps what is genuinely shared: the queue, the
-/// topology and transport, the metrics sinks, and the run-wide RNG
-/// streams.
+/// The orchestrator. Per-node state lives in the [`SimNode`]s and the
+/// shared run state in the [`World`]; the scenario keeps the queue,
+/// the transport, the metrics sinks, and the run-wide RNG streams.
 struct Scenario {
     config: ScenarioConfig,
     engine: Engine<SimEvent>,
-    /// The physical overlay graph: the link model, breakage, and
-    /// repair act here, and gossip partners are drawn from it.
-    topology: Topology,
-    /// The routing view: the spanning tree events and subscriptions
-    /// travel on. On tree overlays the physical topology itself is
-    /// used instead (`tree_overlay`), so view and graph stay one
-    /// object through break/repair exactly as before the split.
-    view: RoutingView,
-    /// `true` when the configured overlay is acyclic, i.e. the view
-    /// is the physical graph itself.
-    tree_overlay: bool,
+    world: World,
     transport: Box<dyn Transport>,
     nodes: Vec<SimNode>,
-    space: PatternSpace,
-    subscribers_of: Vec<Vec<(NodeId, ClientId)>>,
     setup_subscription_msgs: u64,
     tracker: DeliveryTracker,
     counters: MessageCounters,
@@ -114,23 +99,10 @@ impl Scenario {
         // The population (topology, subscriptions, node actors) is
         // assembled by the shared builder so the real-socket runtime
         // boots an identical one for the same seed.
-        let Population {
-            topology,
-            view,
-            space,
-            nodes,
-            subscriptions: _,
-            client_subscriptions: _,
-            subscribers_of,
-            setup_subscription_msgs,
-        } = build_population(config);
+        let (world, nodes, setup_subscription_msgs) = World::new(config, build_population(config));
 
         let transport = Box::new(NetTransport::new(
-            LinkSpec {
-                bandwidth_bps: 10_000_000,
-                propagation: SimTime::from_micros(50),
-                loss_rate: config.link_error_rate,
-            },
+            LinkSpec::ethernet_10mbps(config.link_error_rate),
             config.out_of_band,
             factory.stream("loss"),
             factory.stream("oob"),
@@ -138,21 +110,11 @@ impl Scenario {
 
         Scenario {
             engine: Engine::new(),
-            topology,
-            view,
-            tree_overlay: config.overlay.is_tree(),
+            world,
             transport,
             nodes,
-            space,
-            subscribers_of,
             setup_subscription_msgs,
-            tracker: if config.churn_interval.is_some() {
-                // Churn makes "subscribed after publish, delivered on
-                // arrival" legitimate; don't treat it as a bug.
-                DeliveryTracker::new_tolerant()
-            } else {
-                DeliveryTracker::new()
-            },
+            tracker: run_tracker(config),
             counters: MessageCounters::new(config.nodes),
             gossip_rng: factory.stream("gossip"),
             reconfig_rng: factory.stream("reconfig"),
@@ -172,7 +134,7 @@ impl Scenario {
 
     fn run(mut self) -> (ScenarioResult, Option<ScenarioTrace>) {
         // Seed the periodic processes.
-        let nodes: Vec<NodeId> = self.topology.nodes().collect();
+        let nodes: Vec<NodeId> = self.world.topology.nodes().collect();
         for node in nodes {
             if self.config.publish_rate > 0.0 {
                 let delay = self.nodes[node.index()].next_publish_delay(self.config.publish_rate);
@@ -201,315 +163,150 @@ impl Scenario {
         while let Some((_, event)) = self.engine.pop() {
             self.handle(event);
         }
-        let outstanding: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.outstanding_losses() as u64)
-            .sum();
-        let evictions: u64 = self.nodes.iter().map(|n| n.lost_evictions()).sum();
-        self.counters.count_lost_evictions(evictions);
-        let result = assemble(
+        let result = harvest(
             &self.config,
             &self.tracker,
-            &self.counters,
-            outstanding,
+            &mut self.counters,
+            &self.nodes,
+            self.setup_subscription_msgs,
             self.reconfigurations,
             self.churn_events,
-            routing_stats(&self.nodes, self.setup_subscription_msgs),
         );
         (result, self.trace)
     }
 
     fn handle(&mut self, event: SimEvent) {
+        let now = self.engine.now();
         match event {
-            SimEvent::Deliver { from, to, env } => self.handle_deliver(from, to, env),
-            SimEvent::PublishTick(node) => self.handle_publish_tick(node),
-            SimEvent::GossipTick(node) => self.handle_gossip_tick(node),
-            SimEvent::ChurnTick => self.handle_churn(),
-            SimEvent::Break => self.handle_break(),
-            SimEvent::Repair => self.handle_repair(),
+            SimEvent::Deliver { from, to, env } => {
+                let out = self.with_ctx(to, |node, ctx| node.handle(from, env, ctx));
+                self.send(to, out);
+            }
+            SimEvent::PublishTick(node) => {
+                // The workload ends at `duration`. Renewals are gated
+                // below, but at very low publish rates a node's
+                // *first* tick can be scheduled past the end — it must
+                // not fire either, or the run would stretch far beyond
+                // its nominal length.
+                if now >= self.config.duration {
+                    return;
+                }
+                let rate = self.config.publish_rate;
+                let (out, delay) = self.with_ctx(node, |n, ctx| n.tick_publish(rate, ctx));
+                self.send(node, out);
+                // Renew the process.
+                if now + delay < self.config.duration {
+                    self.engine.schedule(delay, SimEvent::PublishTick(node));
+                }
+            }
+            SimEvent::GossipTick(node) => {
+                let (interval, adaptive) =
+                    (self.config.gossip_interval, self.config.adaptive_gossip);
+                let (out, next) =
+                    self.with_ctx(node, |n, ctx| n.tick_gossip(interval, adaptive, ctx));
+                self.send(node, out);
+                if now + next < self.config.duration {
+                    self.engine.schedule(next, SimEvent::GossipTick(node));
+                }
+            }
+            SimEvent::ChurnTick => self.handle_churn(now),
+            SimEvent::Break => self.handle_break(now),
+            SimEvent::Repair => {
+                let mut hosts: Vec<&mut SimNode> = self.nodes.iter_mut().collect();
+                if let Some((a, b)) = self.world.repair(&mut self.reconfig_rng, &mut hosts) {
+                    self.record(TraceRecord::LinkAdded { at: now, a, b });
+                }
+            }
         }
     }
 
-    fn handle_deliver(&mut self, from: NodeId, to: NodeId, env: Envelope) {
-        let mut ctx = NodeCtx {
-            now: self.engine.now(),
-            // Borrowed straight from the topology / view (disjoint
-            // fields): no per-message Vec allocation on the delivery
-            // hot path.
-            neighbors: if self.tree_overlay {
-                self.topology.neighbors(to)
-            } else {
-                self.view.neighbors(to)
-            },
-            graph_neighbors: self.topology.neighbors(to),
-            space: &self.space,
-            subscribers_of: &self.subscribers_of,
-            gossip_rng: &mut self.gossip_rng,
-            tracker: &mut self.tracker,
-            counters: &mut self.counters,
-            trace: &mut self.trace,
-        };
-        let out = self.nodes[to.index()].handle(from, env, &mut ctx);
-        self.send(to, out);
+    /// Lends `node` its [`NodeCtx`] for one call.
+    fn with_ctx<R>(&mut self, node: NodeId, f: impl FnOnce(&mut SimNode, &mut NodeCtx) -> R) -> R {
+        let mut ctx = self.world.ctx(
+            node,
+            self.engine.now(),
+            &mut self.gossip_rng,
+            &mut self.tracker,
+            &mut self.counters,
+            &mut self.trace,
+        );
+        f(&mut self.nodes[node.index()], &mut ctx)
     }
 
-    fn handle_publish_tick(&mut self, node: NodeId) {
-        // The workload ends at `duration`. Renewals are gated below,
-        // but at very low publish rates a node's *first* tick can be
-        // scheduled past the end — it must not fire either, or the run
-        // would stretch far beyond its nominal length.
-        if self.engine.now() >= self.config.duration {
+    /// Subscription churn: the (un)subscriptions propagate through the
+    /// overlay as protocol messages.
+    fn handle_churn(&mut self, now: SimTime) {
+        if now >= self.config.duration {
             return;
         }
-        let mut ctx = NodeCtx {
-            now: self.engine.now(),
-            // Borrowed, not copied — see `handle_deliver`.
-            neighbors: if self.tree_overlay {
-                self.topology.neighbors(node)
-            } else {
-                self.view.neighbors(node)
-            },
-            graph_neighbors: self.topology.neighbors(node),
-            space: &self.space,
-            subscribers_of: &self.subscribers_of,
-            gossip_rng: &mut self.gossip_rng,
-            tracker: &mut self.tracker,
-            counters: &mut self.counters,
-            trace: &mut self.trace,
-        };
-        let (out, delay) =
-            self.nodes[node.index()].tick_publish(self.config.publish_rate, &mut ctx);
-        self.send(node, out);
-        // Renew the process.
-        if self.engine.now() + delay < self.config.duration {
-            self.engine.schedule(delay, SimEvent::PublishTick(node));
+        let nodes = &self.nodes;
+        let drawn = self
+            .world
+            .draw_churn(&self.config, &mut self.churn_rng, |node, client| {
+                nodes[node.index()].client_patterns(client)
+            });
+        if let Some(churn) = drawn {
+            self.churn_events += 1;
+            let mut hosts: Vec<&mut SimNode> = self.nodes.iter_mut().collect();
+            let out = self
+                .world
+                .apply_churn(churn, &mut hosts, &mut self.counters);
+            self.send(churn.node, out);
         }
-    }
-
-    fn handle_gossip_tick(&mut self, node: NodeId) {
-        let mut ctx = NodeCtx {
-            now: self.engine.now(),
-            // Borrowed, not copied — see `handle_deliver`.
-            neighbors: if self.tree_overlay {
-                self.topology.neighbors(node)
-            } else {
-                self.view.neighbors(node)
-            },
-            graph_neighbors: self.topology.neighbors(node),
-            space: &self.space,
-            subscribers_of: &self.subscribers_of,
-            gossip_rng: &mut self.gossip_rng,
-            tracker: &mut self.tracker,
-            counters: &mut self.counters,
-            trace: &mut self.trace,
-        };
-        let (out, next) = self.nodes[node.index()].tick_gossip(
-            self.config.gossip_interval,
-            self.config.adaptive_gossip,
-            &mut ctx,
-        );
-        self.send(node, out);
-        if self.engine.now() + next < self.config.duration {
-            self.engine.schedule(next, SimEvent::GossipTick(node));
-        }
-    }
-
-    /// Subscription churn: a random dispatcher swaps one subscription
-    /// for a pattern it does not hold, and the (un)subscriptions
-    /// propagate through the overlay as protocol messages.
-    fn handle_churn(&mut self) {
-        if self.engine.now() < self.config.duration {
-            let node = NodeId::new(self.churn_rng.random_range(0..self.config.nodes as u32));
-            // With one client per node the client pick is determined,
-            // so no draw is consumed — the churn stream stays
-            // byte-compatible with the pre-client-layer runner.
-            let client = if self.config.clients_per_node > 1 {
-                ClientId::new(
-                    self.churn_rng
-                        .random_range(0..self.config.clients_per_node as u32),
-                )
-            } else {
-                ClientId::new(0)
-            };
-            let subs = self.nodes[node.index()].client_patterns(client);
-            if !subs.is_empty() {
-                let old = subs[self.churn_rng.random_range(0..subs.len())];
-                let candidates: Vec<PatternId> = self
-                    .space
-                    .patterns()
-                    .filter(|p| !subs.contains(p))
-                    .collect();
-                if let Some(&new) = self.churn_rng.choose(&candidates) {
-                    self.apply_churn(node, client, old, new);
-                }
-            }
-            if let Some(churn) = self.config.churn_interval {
-                if self.engine.now() + churn < self.config.duration {
-                    self.engine.schedule(churn, SimEvent::ChurnTick);
-                }
+        if let Some(churn) = self.config.churn_interval {
+            if now + churn < self.config.duration {
+                self.engine.schedule(churn, SimEvent::ChurnTick);
             }
         }
     }
 
-    fn apply_churn(&mut self, node: NodeId, client: ClientId, old: PatternId, new: PatternId) {
-        self.churn_events += 1;
-        // (Un)subscriptions propagate on the routing view, like every
-        // other piece of protocol traffic.
-        let neighbors = if self.tree_overlay {
-            self.topology.neighbors(node).to_vec()
-        } else {
-            self.view.neighbors(node).to_vec()
-        };
-        let (out, aggregate_changed) =
-            self.nodes[node.index()].apply_churn(client, old, new, &neighbors);
-        self.send(node, out);
-        if aggregate_changed && !self.tree_overlay {
-            // Cross-link partners keep a copy of this node's interest
-            // to filter their replication; refresh it, charging one
-            // subscription message per cross link for the notice. A
-            // client swap absorbed by the aggregate changes nothing at
-            // broker level, so no notice goes out.
-            let interest = self.nodes[node.index()].subscriptions().to_vec();
-            for chord in self.view.cross_neighbors(&self.topology, node) {
-                self.counters.count_subscription(node);
-                self.nodes[chord.index()].update_cross_partner(node, interest.clone());
-            }
-        }
-        // Keep the metrics' view of intended recipients current, at
-        // client granularity.
-        self.subscribers_of[old.index()].retain(|&s| s != (node, client));
-        self.subscribers_of[new.index()].push((node, client));
-        self.subscribers_of[new.index()].sort_unstable();
-    }
-
-    fn handle_break(&mut self) {
-        if self.engine.now() >= self.config.duration {
+    fn handle_break(&mut self, now: SimTime) {
+        if now >= self.config.duration {
             // The workload is over; the queue is only draining
             // in-flight recoveries. Do not disturb them.
             return;
         }
-        let topology = &self.topology;
-        let reconfig_rng = &mut self.reconfig_rng;
-        if let Some(link) = reconfig_rng.choose_iter(topology.links()) {
-            self.topology.remove_link(link).expect("chosen link exists");
+        if let Some(link) = self.world.break_link(&mut self.reconfig_rng) {
             self.transport.reset_link(link.a(), link.b());
             self.reconfigurations += 1;
-            self.record(TraceRecord::LinkBroken {
-                at: self.engine.now(),
-                link,
-            });
+            self.record(TraceRecord::LinkBroken { at: now, link });
             self.engine
                 .schedule(self.config.repair_delay, SimEvent::Repair);
         }
         if let Some(rho) = self.config.reconfig_interval {
-            if self.engine.now() + rho < self.config.duration {
+            if now + rho < self.config.duration {
                 self.engine.schedule(rho, SimEvent::Break);
             }
         }
     }
 
-    fn handle_repair(&mut self) {
-        let reconnected = plan_reconnection(&self.topology, &mut self.reconfig_rng);
-        if let Some((x, y)) = reconnected {
-            self.topology
-                .add_link(x, y)
-                .expect("reconnection endpoints have spare degree");
-            self.record(TraceRecord::LinkAdded {
-                at: self.engine.now(),
-                a: x,
-                b: y,
-            });
-        }
-        if self.tree_overlay {
-            if reconnected.is_some() {
-                // The reconfiguration protocol of [7] has completed:
-                // subscription routes are consistent with the new
-                // overlay.
-                rebuild_subscription_routes(&mut self.nodes, &self.topology);
-            }
-        } else {
-            // Cyclic overlay: even when the graph stayed connected
-            // (no replacement link — the overlay thins gradually),
-            // the view may have been using the vanished link.
-            // Re-derive it, rebuild routes, and recompute each
-            // node's cross targets against the fresh tree/graph
-            // split.
-            self.view = RoutingView::derive(&self.topology);
-            rebuild_subscription_routes(&mut self.nodes, self.view.tree());
-            let interests: Vec<Vec<PatternId>> = self
-                .nodes
-                .iter()
-                .map(|n| n.subscriptions().to_vec())
-                .collect();
-            for i in 0..self.nodes.len() {
-                let id = NodeId::new(i as u32);
-                let targets = cross_targets_for(id, &self.topology, &self.view, &interests);
-                self.nodes[i].set_cross_targets(targets);
-            }
-        }
-    }
-
-    /// Puts a node's outgoing messages on the wire: counts them,
-    /// routes tree traffic over existing overlay links only, asks the
-    /// transport when (and whether) each arrives, and schedules the
-    /// delivery.
+    /// Puts a node's outgoing messages on the wire: charges them
+    /// ([`charge_send`]), routes tree and cross-link traffic over
+    /// existing overlay links only, asks the transport when (and
+    /// whether) each arrives, and schedules the delivery.
     fn send(&mut self, from: NodeId, out: Vec<Outgoing>) {
+        let now = self.engine.now();
         for Outgoing { to, env } in out {
-            match env.channel() {
-                Channel::Tree => {
-                    let bits = env.wire_bits(self.config.event_payload_bits);
-                    match &env {
-                        Envelope::PubSub(PubSubMessage::Event(_)) => {
-                            self.counters.count_event(from)
-                        }
-                        Envelope::PubSub(_) => self.counters.count_subscription(from),
-                        // Gossip *messages* are counted at the action
-                        // level; their wire *bits* are charged here,
-                        // where the size is known — like the message
-                        // counts, before link state is consulted (a
-                        // digest lost to a broken link was still sent).
-                        Envelope::Gossip(_) => self.counters.count_gossip_bits(bits),
-                        _ => {}
-                    }
-                    if !self.topology.has_link(from, to) {
-                        // Broken link or stale route: the message is lost.
+            let bits = charge_send(
+                &mut self.counters,
+                from,
+                &env,
+                self.config.event_payload_bits,
+            );
+            let arrival = match env.channel() {
+                Channel::Tree | Channel::Cross => {
+                    if !self.world.topology.has_link(from, to) {
+                        // Broken link, stale route or stale cross
+                        // target: the message is lost.
                         continue;
                     }
-                    if let Some(at) = self.transport.send_link(from, to, bits, self.engine.now()) {
-                        self.engine
-                            .schedule_at(at, SimEvent::Deliver { from, to, env });
-                    }
+                    self.transport.send_link(from, to, bits, now)
                 }
-                Channel::Cross => {
-                    // A cross-link event copy: same link model as the
-                    // tree (the chord is a physical link like any
-                    // other), counted as an event message.
-                    self.counters.count_event(from);
-                    if !self.topology.has_link(from, to) {
-                        // Broken chord or stale cross target: lost.
-                        continue;
-                    }
-                    let bits = env.wire_bits(self.config.event_payload_bits);
-                    if let Some(at) = self.transport.send_link(from, to, bits, self.engine.now()) {
-                        self.engine
-                            .schedule_at(at, SimEvent::Deliver { from, to, env });
-                    }
-                }
-                Channel::OutOfBand => {
-                    let bits = env.wire_bits(self.config.event_payload_bits);
-                    match &env {
-                        Envelope::Request(_) | Envelope::RangeRequest { .. } => {
-                            self.counters.count_request_bits(bits)
-                        }
-                        Envelope::Reply(_) => self.counters.count_reply_bits(bits),
-                        _ => {}
-                    }
-                    if let Some(at) = self.transport.send_oob(from, to, bits, self.engine.now()) {
-                        self.engine
-                            .schedule_at(at, SimEvent::Deliver { from, to, env });
-                    }
-                }
+                Channel::OutOfBand => self.transport.send_oob(from, to, bits, now),
+            };
+            if let Some(at) = arrival {
+                self.engine
+                    .schedule_at(at, SimEvent::Deliver { from, to, env });
             }
         }
     }

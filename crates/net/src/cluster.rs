@@ -20,8 +20,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use eps_harness::{
-    assemble, build_population, routing_stats, Population, ScenarioConfig, ScenarioResult,
-    TraceRecord,
+    build_population, harvest, Population, ScenarioConfig, ScenarioResult, TraceRecord,
 };
 use eps_metrics::{DeliveryTracker, MessageCounters, NetCounters};
 use eps_sim::{Rng, RngFactory};
@@ -277,7 +276,7 @@ pub(crate) fn bind_with_retry<S>(
 }
 
 /// Merges every node's sinks into one report, through the same
-/// `assemble` path the simulator uses: first all publishes (so the
+/// `harvest` path the simulator uses: first all publishes (so the
 /// global tracker knows every event and its intended audience), then
 /// all deliveries. The in-process cluster hands every core here; a
 /// multi-process node hands its own.
@@ -290,8 +289,6 @@ pub(crate) fn aggregate_cores(
     let mut counters = MessageCounters::new(scenario.nodes);
     let mut net = NetCounters::default();
     let mut trace_dropped = 0;
-    let mut outstanding = 0;
-    let mut evictions = 0;
     let mut published_at = HashMap::new();
     let mut latencies_ns: Vec<u64> = Vec::new();
 
@@ -342,15 +339,16 @@ pub(crate) fn aggregate_cores(
     for core in cores {
         counters.absorb(&core.counters);
         net.absorb(&core.net);
-        outstanding += core.outstanding_losses();
-        evictions += core.lost_evictions();
     }
-    counters.count_lost_evictions(evictions);
-    let routing = routing_stats(
-        cores.iter().map(|core| core.sim_node()),
+    let result = harvest(
+        scenario,
+        &tracker,
+        &mut counters,
+        cores.iter().map(NodeCore::sim_node),
         setup_subscription_msgs,
+        0,
+        0,
     );
-    let result = assemble(scenario, &tracker, &counters, outstanding, 0, 0, routing);
     NetRunReport {
         result,
         net,

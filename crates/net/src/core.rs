@@ -12,7 +12,9 @@ use std::time::Duration;
 
 use eps_gossip::codec;
 use eps_gossip::{Channel, Envelope};
-use eps_harness::{AdaptiveGossip, NodeCtx, Outgoing, ScenarioTrace, SimNode, TraceRecord};
+use eps_harness::{
+    charge_send, AdaptiveGossip, NodeCtx, Outgoing, ScenarioTrace, SimNode, TraceRecord,
+};
 use eps_metrics::{DeliveryTracker, MessageCounters, NetCounters};
 use eps_overlay::NodeId;
 use eps_pubsub::{ClientId, PatternSpace, PubSubMessage};
@@ -162,16 +164,6 @@ impl NodeCore {
         &self.neighbors
     }
 
-    /// `Lost` entries this node's recovery algorithm still chases.
-    pub(crate) fn outstanding_losses(&self) -> u64 {
-        self.node.outstanding_losses() as u64
-    }
-
-    /// `Lost` entries evicted under the capacity bound.
-    pub(crate) fn lost_evictions(&self) -> u64 {
-        self.node.lost_evictions()
-    }
-
     /// Reports an empty publish schedule to the convergence counters;
     /// call once before the first loop iteration.
     pub(crate) fn bootstrap(&mut self, shared: &Shared) {
@@ -235,25 +227,28 @@ impl NodeCore {
             return Vec::new();
         }
         let before = self.trace_len();
-        let out = {
-            let mut ctx = NodeCtx {
-                now,
-                neighbors: &self.neighbors,
-                graph_neighbors: &self.graph_neighbors,
-                space: &self.space,
-                subscribers_of: &self.subscribers_of,
-                gossip_rng: &mut self.gossip_rng,
-                tracker: &mut self.tracker,
-                counters: &mut self.counters,
-                trace: &mut self.trace,
-            };
-            self.node.handle(from, env_msg, &mut ctx)
-        };
+        let out = self.with_ctx(now, |node, ctx| node.handle(from, env_msg, ctx));
         let delivered = self.delivers_since(before);
         if delivered > 0 {
             shared.delivered.fetch_add(delivered, Ordering::Relaxed);
         }
         self.route(out)
+    }
+
+    /// Lends the node its [`NodeCtx`] for one call.
+    fn with_ctx<R>(&mut self, now: SimTime, f: impl FnOnce(&mut SimNode, &mut NodeCtx) -> R) -> R {
+        let mut ctx = NodeCtx {
+            now,
+            neighbors: &self.neighbors,
+            graph_neighbors: &self.graph_neighbors,
+            space: &self.space,
+            subscribers_of: &self.subscribers_of,
+            gossip_rng: &mut self.gossip_rng,
+            tracker: &mut self.tracker,
+            counters: &mut self.counters,
+            trace: &mut self.trace,
+        };
+        f(&mut self.node, &mut ctx)
     }
 
     fn trace_len(&self) -> usize {
@@ -286,20 +281,8 @@ impl NodeCore {
             if now >= vnext {
                 let expected_before = self.tracker.expected_total();
                 let trace_before = self.trace_len();
-                let (out, delay) = {
-                    let mut ctx = NodeCtx {
-                        now,
-                        neighbors: &self.neighbors,
-                        graph_neighbors: &self.graph_neighbors,
-                        space: &self.space,
-                        subscribers_of: &self.subscribers_of,
-                        gossip_rng: &mut self.gossip_rng,
-                        tracker: &mut self.tracker,
-                        counters: &mut self.counters,
-                        trace: &mut self.trace,
-                    };
-                    self.node.tick_publish(self.publish_rate, &mut ctx)
-                };
+                let rate = self.publish_rate;
+                let (out, delay) = self.with_ctx(now, |node, ctx| node.tick_publish(rate, ctx));
                 let expected = self.tracker.expected_total() - expected_before;
                 if expected > 0 {
                     shared.expected.fetch_add(expected, Ordering::Relaxed);
@@ -322,21 +305,9 @@ impl NodeCore {
         // recovery needs rounds to finish the job. Documented as a
         // sim/net equivalence rule.
         while now >= self.gossip_vnext {
-            let (out, next) = {
-                let mut ctx = NodeCtx {
-                    now,
-                    neighbors: &self.neighbors,
-                    graph_neighbors: &self.graph_neighbors,
-                    space: &self.space,
-                    subscribers_of: &self.subscribers_of,
-                    gossip_rng: &mut self.gossip_rng,
-                    tracker: &mut self.tracker,
-                    counters: &mut self.counters,
-                    trace: &mut self.trace,
-                };
-                self.node
-                    .tick_gossip(self.gossip_interval, self.adaptive, &mut ctx)
-            };
+            let (interval, adaptive) = (self.gossip_interval, self.adaptive);
+            let (out, next) =
+                self.with_ctx(now, |node, ctx| node.tick_gossip(interval, adaptive, ctx));
             sends.extend(self.route(out));
             self.gossip_vnext += next;
         }
@@ -344,28 +315,20 @@ impl NodeCore {
     }
 
     /// Encodes one batch of node output, charging the send-layer
-    /// counters exactly as the simulator's `Scenario::send` does.
+    /// counters through the simulator's own [`charge_send`].
     fn route(&mut self, out: Vec<Outgoing>) -> Vec<Outbound> {
         let mut sends = Vec::with_capacity(out.len());
-        for Outgoing { to, env: msg } in out {
-            // Event and subscription traffic is counted at the send
-            // layer, mirroring the simulator's `Scenario::send` (gossip
-            // classes are counted inside the node when the action is
-            // decided).
-            match &msg {
-                Envelope::PubSub(PubSubMessage::Event(_)) | Envelope::CrossEvent(_) => {
-                    self.counters.count_event(self.id)
-                }
-                Envelope::PubSub(_) => self.counters.count_subscription(self.id),
-                _ => {}
-            }
+        for Outgoing { to, env } in out {
             // Enforce the paper's digest budget before encoding; a
             // trimmed digest is re-announced by later rounds.
-            let (msg, dropped) = codec::fit(msg, self.payload_bits);
+            let (msg, dropped) = codec::fit(env, self.payload_bits);
             if dropped > 0 {
                 self.net.digest_truncations += 1;
                 self.net.route_drops += dropped;
             }
+            // Charged on the post-fit envelope: the bits that actually
+            // hit the wire.
+            let bits = charge_send(&mut self.counters, self.id, &msg, self.payload_bits);
             let body = match codec::encode(&msg, self.payload_bits) {
                 Ok(b) => b,
                 Err(_) => {
@@ -377,23 +340,11 @@ impl NodeCore {
             };
             // The cross-validation invariant: on-the-wire bytes are
             // the simulator's wire_bits, always.
-            let bits = msg.wire_bits(self.payload_bits);
             assert_eq!(
                 body.len() as u64 * 8,
                 bits,
                 "codec framed size diverged from wire_bits"
             );
-            // Wire-bit accounting mirrors the simulator's send layer,
-            // charged on the post-fit envelope — the bits that actually
-            // hit the wire.
-            match &msg {
-                Envelope::Gossip(_) => self.counters.count_gossip_bits(bits),
-                Envelope::Request(_) | Envelope::RangeRequest { .. } => {
-                    self.counters.count_request_bits(bits)
-                }
-                Envelope::Reply(_) => self.counters.count_reply_bits(bits),
-                _ => {}
-            }
             sends.push(Outbound {
                 to,
                 channel: msg.channel(),

@@ -1,70 +1,25 @@
-//! The discrete-event engine: a virtual clock plus a cancellable,
-//! deterministically ordered pending-event queue.
+//! The discrete-event engine: a virtual clock plus a deterministically
+//! ordered pending-event queue.
 //!
 //! This is the substrate that replaces OMNeT++ in the reproduction. It
 //! is deliberately minimal: it knows nothing about networks or nodes.
 //! Higher layers schedule opaque messages of type `M` and interpret
 //! them when they fire.
 //!
-//! # Performance model
-//!
-//! Payloads live *inline* in the heap slots, so scheduling an event is
-//! one heap push and popping it is one heap pop — there is no side
-//! `HashMap` paying a hash insert plus a hash remove per event.
-//! Cancellation is lazy: [`Engine::cancel`] flips one bit in a dense
-//! per-sequence bitmap (sequences are allocated consecutively, so the
-//! bitmap is an O(1) "tombstone set" with no hashing at all) and
-//! tombstoned slots are dropped when they surface at the heap head.
-//! The head is never left tombstoned, which is what lets
-//! [`Engine::peek_time`] take `&self`.
+//! [`Engine`] is the FIFO-keyed use of the one calendar heap,
+//! [`KeyedEngine`]: each event's tie-breaking key is its scheduling
+//! sequence number, so same-instant events fire in the order they were
+//! scheduled. Payloads live inline in the heap slots, so scheduling is
+//! one heap push and popping is one heap pop.
 
-use std::collections::BinaryHeap;
-
+use crate::keyed::KeyedEngine;
 use crate::time::SimTime;
-
-/// Handle identifying a scheduled entry, usable to cancel it.
-///
-/// Handles are unique per [`Engine`] instance and are never reused.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
-struct Slot<M> {
-    at: SimTime,
-    seq: u64,
-    msg: M,
-}
-
-impl<M> PartialEq for Slot<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Slot<M> {}
-
-impl<M> Ord for Slot<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed so `BinaryHeap` (a max-heap) acts as a min-heap.
-        // Primary: time. Secondary: insertion order, so that events
-        // scheduled earlier for the same instant fire first (stable
-        // FIFO semantics, required for determinism).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl<M> PartialOrd for Slot<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// A deterministic discrete-event scheduler.
 ///
 /// Events carry an arbitrary payload `M`, stored inline in the queue.
 /// Two events scheduled for the same instant fire in the order they
-/// were scheduled. Cancellation is lazy and O(1): cancelled entries
-/// are tombstoned in a dense bitmap and dropped when they reach the
-/// head of the queue.
+/// were scheduled.
 ///
 /// # Examples
 ///
@@ -79,17 +34,10 @@ impl<M> PartialOrd for Slot<M> {
 /// assert_eq!(engine.pop().unwrap().1, "b");
 /// assert!(engine.pop().is_none());
 /// ```
+#[derive(Debug)]
 pub struct Engine<M> {
-    now: SimTime,
+    queue: KeyedEngine<u64, M>,
     next_seq: u64,
-    heap: BinaryHeap<Slot<M>>,
-    /// One bit per sequence number ever allocated: set once the event
-    /// has fired or been cancelled.
-    done: Vec<u64>,
-    /// Cancelled entries still physically present in the heap.
-    tombstoned: usize,
-    scheduled_total: u64,
-    cancelled_total: u64,
 }
 
 impl<M> Default for Engine<M> {
@@ -102,45 +50,30 @@ impl<M> Engine<M> {
     /// Creates an empty engine with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Engine {
-            now: SimTime::ZERO,
+            queue: KeyedEngine::new(),
             next_seq: 0,
-            heap: BinaryHeap::new(),
-            done: Vec::new(),
-            tombstoned: 0,
-            scheduled_total: 0,
-            cancelled_total: 0,
         }
     }
 
     /// The current virtual time: the timestamp of the most recently
     /// popped event (or zero before any event fires).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.queue.now()
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.tombstoned
+        self.queue.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Total number of events cancelled before firing.
-    pub fn cancelled_total(&self) -> u64 {
-        self.cancelled_total
+        self.queue.is_empty()
     }
 
     /// Schedules `msg` to fire `delay` after the current time.
-    pub fn schedule(&mut self, delay: SimTime, msg: M) -> EventId {
-        self.schedule_at(self.now + delay, msg)
+    pub fn schedule(&mut self, delay: SimTime, msg: M) {
+        self.schedule_at(self.now() + delay, msg);
     }
 
     /// Schedules `msg` to fire at absolute time `at`.
@@ -149,129 +82,77 @@ impl<M> Engine<M> {
     ///
     /// Panics if `at` is in the past (before [`Engine::now`]); the
     /// kernel never reorders time.
-    pub fn schedule_at(&mut self, at: SimTime, msg: M) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at} now={}",
-            self.now
-        );
+    pub fn schedule_at(&mut self, at: SimTime, msg: M) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.heap.push(Slot { at, seq, msg });
-        EventId(seq)
-    }
-
-    /// Cancels a pending event. Returns `true` if the event was still
-    /// pending, `false` if it had already fired or been cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq || self.is_done(id.0) {
-            return false;
-        }
-        self.mark_done(id.0);
-        self.tombstoned += 1;
-        self.cancelled_total += 1;
-        // Keep the invariant that the heap head is live, so that
-        // `peek_time` stays a borrow-only heap peek.
-        self.drop_tombstoned_head();
-        true
+        self.queue.schedule_at(at, seq, msg);
     }
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The head is never tombstoned (see `drop_tombstoned_head`),
-        // so this is a plain O(1) peek with a shared borrow.
-        self.heap.peek().map(|slot| slot.at)
+        self.queue.peek_time()
     }
 
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, M)> {
-        let slot = self.heap.pop()?;
-        debug_assert!(!self.is_done(slot.seq), "tombstone surfaced at head");
-        self.mark_done(slot.seq);
-        debug_assert!(slot.at >= self.now, "event queue went backwards");
-        self.now = slot.at;
-        self.drop_tombstoned_head();
-        Some((slot.at, slot.msg))
-    }
-
-    /// Like [`Engine::pop`] but only if the next event fires at or
-    /// before `deadline`; otherwise leaves the queue untouched and
-    /// advances the clock to `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, M)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                None
-            }
-        }
-    }
-
-    /// Drops cancelled entries sitting at the head of the heap.
-    fn drop_tombstoned_head(&mut self) {
-        while let Some(slot) = self.heap.peek() {
-            if !self.is_done(slot.seq) {
-                break;
-            }
-            self.heap.pop();
-            self.tombstoned -= 1;
-        }
-    }
-
-    #[inline]
-    fn is_done(&self, seq: u64) -> bool {
-        self.done
-            .get((seq / 64) as usize)
-            .is_some_and(|word| word & (1 << (seq % 64)) != 0)
-    }
-
-    #[inline]
-    fn mark_done(&mut self, seq: u64) {
-        let word = (seq / 64) as usize;
-        if word >= self.done.len() {
-            self.done.resize(word + 1, 0);
-        }
-        self.done[word] |= 1 << (seq % 64);
-    }
-}
-
-impl<M> std::fmt::Debug for Engine<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("now", &self.now)
-            .field("pending", &self.len())
-            .field("scheduled_total", &self.scheduled_total)
-            .finish()
+        self.queue.pop().map(|(at, _, msg)| (at, msg))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
+
+    /// Random cases per calendar property (proptest's default count).
+    const CASES: u64 = 256;
 
     #[test]
-    fn pops_in_time_order() {
-        let mut e = Engine::new();
-        e.schedule_at(SimTime::from_millis(30), 3u32);
-        e.schedule_at(SimTime::from_millis(10), 1);
-        e.schedule_at(SimTime::from_millis(20), 2);
-        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, m)| m)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+    fn pops_are_time_ordered_and_complete_for_random_schedules() {
+        let mut rng = Rng::from_seed(0xca1e);
+        for _ in 0..CASES {
+            let count = 1 + rng.random_below(199) as usize;
+            let delays: Vec<u64> = (0..count).map(|_| rng.random_below(1_000_000)).collect();
+            let mut engine = Engine::new();
+            for (i, &d) in delays.iter().enumerate() {
+                engine.schedule_at(SimTime::from_nanos(d), i);
+            }
+            let mut last = SimTime::ZERO;
+            let mut seen = vec![false; count];
+            while let Some((t, i)) = engine.pop() {
+                assert!(t >= last, "time went backwards");
+                assert_eq!(t, SimTime::from_nanos(delays[i]));
+                assert!(!seen[i], "event {i} popped twice");
+                seen[i] = true;
+                last = t;
+            }
+            assert!(seen.iter().all(|&s| s), "some event never fired");
+        }
     }
 
+    /// Events scheduled for one instant fire in scheduling order, even
+    /// when other instants are interleaved with them.
     #[test]
-    fn ties_fire_in_insertion_order() {
-        let mut e = Engine::new();
-        let t = SimTime::from_millis(5);
-        for i in 0..100u32 {
-            e.schedule_at(t, i);
+    fn same_instant_ties_fire_fifo_for_random_schedules() {
+        let mut rng = Rng::from_seed(0xf1f0);
+        for _ in 0..CASES {
+            let count = 1 + rng.random_below(99) as usize;
+            let at = SimTime::from_nanos(rng.random_below(1_000_000));
+            let mut engine = Engine::new();
+            for i in 0..count {
+                engine.schedule_at(at, Some(i));
+                // Unrelated events around the tied instant.
+                let other = SimTime::from_nanos(rng.random_below(2_000_000));
+                if other != at {
+                    engine.schedule_at(other, None);
+                }
+            }
+            let order: Vec<usize> = std::iter::from_fn(|| engine.pop())
+                .filter_map(|(_, i)| i)
+                .collect();
+            assert_eq!(order, (0..count).collect::<Vec<_>>());
         }
-        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, m)| m)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -294,75 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut e = Engine::new();
-        let id = e.schedule(SimTime::from_secs(1), "x");
-        assert!(e.cancel(id));
-        assert!(!e.cancel(id));
-        assert!(e.pop().is_none());
-        assert_eq!(e.cancelled_total(), 1);
-    }
-
-    #[test]
-    fn cancelled_events_are_skipped_at_head() {
-        let mut e = Engine::new();
-        let id = e.schedule_at(SimTime::from_millis(1), 1u8);
-        e.schedule_at(SimTime::from_millis(2), 2);
-        e.cancel(id);
-        assert_eq!(e.peek_time(), Some(SimTime::from_millis(2)));
-        assert_eq!(e.pop().unwrap().1, 2);
-    }
-
-    #[test]
-    fn cancel_of_fired_event_is_rejected() {
-        let mut e = Engine::new();
-        let id = e.schedule(SimTime::from_secs(1), 7u8);
-        assert_eq!(e.pop().unwrap().1, 7);
-        assert!(!e.cancel(id), "firing consumes the handle");
-        assert_eq!(e.cancelled_total(), 0);
-    }
-
-    #[test]
-    fn cancel_deep_in_queue_keeps_order_and_len() {
-        let mut e = Engine::new();
-        let ids: Vec<_> = (0..10u32)
-            .map(|i| e.schedule_at(SimTime::from_millis(i as u64 + 1), i))
-            .collect();
-        // Tombstone every odd event while it is buried in the heap.
-        for (i, id) in ids.iter().enumerate() {
-            if i % 2 == 1 {
-                assert!(e.cancel(*id));
-            }
-        }
-        assert_eq!(e.len(), 5);
-        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, m)| m)).collect();
-        assert_eq!(order, vec![0, 2, 4, 6, 8]);
-        assert_eq!(e.cancelled_total(), 5);
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn peek_time_is_borrow_only_and_skips_tombstones() {
-        let mut e = Engine::new();
-        let a = e.schedule_at(SimTime::from_millis(1), 'a');
-        e.schedule_at(SimTime::from_millis(5), 'b');
-        e.cancel(a);
-        // `peek_time` takes &self: two overlapping peeks are fine.
-        let shared = &e;
-        assert_eq!(shared.peek_time(), shared.peek_time());
-        assert_eq!(shared.peek_time(), Some(SimTime::from_millis(5)));
-    }
-
-    #[test]
-    fn pop_until_respects_deadline() {
-        let mut e = Engine::new();
-        e.schedule_at(SimTime::from_secs(10), ());
-        assert!(e.pop_until(SimTime::from_secs(5)).is_none());
-        assert_eq!(e.now(), SimTime::from_secs(5));
-        assert!(e.pop_until(SimTime::from_secs(10)).is_some());
-    }
-
-    #[test]
     #[should_panic]
     fn scheduling_in_the_past_panics() {
         let mut e = Engine::new();
@@ -375,10 +187,10 @@ mod tests {
     fn len_tracks_pending() {
         let mut e = Engine::new();
         assert!(e.is_empty());
-        let a = e.schedule(SimTime::from_secs(1), ());
+        e.schedule(SimTime::from_secs(1), ());
         e.schedule(SimTime::from_secs(2), ());
         assert_eq!(e.len(), 2);
-        e.cancel(a);
+        e.pop();
         assert_eq!(e.len(), 1);
         e.pop();
         assert!(e.is_empty());

@@ -1,12 +1,12 @@
-//! A pending-event queue ordered by `(time, key)` instead of
-//! `(time, insertion order)` — the per-shard heap of the sharded
-//! (conservative parallel) runner.
+//! A pending-event queue ordered by `(time, key)` — the one calendar
+//! heap of the kernel. [`crate::Engine`] uses it with the scheduling
+//! sequence as the key (FIFO ties); the sharded (conservative
+//! parallel) runner uses it with an event-derived key.
 //!
-//! The plain [`crate::Engine`] breaks same-instant ties by insertion
-//! order, which is exactly what a *sharded* simulation cannot use: two
-//! events arriving at one node from different shards would fire in an
-//! order that depends on how the population was partitioned. The
-//! [`KeyedEngine`] instead orders same-instant events by a
+//! FIFO tie-breaking is exactly what a *sharded* simulation cannot
+//! use: two events arriving at one node from different shards would
+//! fire in an order that depends on how the population was
+//! partitioned. There the same-instant order comes from a
 //! caller-supplied key that is a pure function of the event itself
 //! (e.g. `(class, destination, sender, per-sender sequence)`), so the
 //! execution order is identical for every shard count — the

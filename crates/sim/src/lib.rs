@@ -7,12 +7,13 @@
 //! It provides exactly what the evaluation needs and nothing more:
 //!
 //! - [`SimTime`] — integer-nanosecond virtual time;
-//! - [`Engine`] — a cancellable pending-event queue with stable FIFO
-//!   tie-breaking (two events scheduled for the same instant fire in
-//!   scheduling order), generic over the message type;
-//! - [`KeyedEngine`] — the per-shard variant breaking same-instant
-//!   ties by an event-derived key instead of insertion order, so the
-//!   sharded runner's execution order is shard-count-invariant;
+//! - [`KeyedEngine`] — the one calendar heap: a pending-event queue
+//!   ordered by `(time, key)`. The sharded runner keys same-instant
+//!   events by an event-derived key, so its execution order is
+//!   shard-count-invariant;
+//! - [`Engine`] — the FIFO-keyed use of that heap (the key is the
+//!   scheduling sequence), so two events scheduled for the same
+//!   instant fire in scheduling order; generic over the message type;
 //! - [`Rng`] / [`RngFactory`] — an in-tree xoshiro256++ generator and
 //!   named, independent, seed-stable random streams, so parameter
 //!   sweeps do not perturb unrelated random choices (and the build
@@ -53,7 +54,7 @@ mod rng;
 mod stats;
 mod time;
 
-pub use engine::{Engine, EventId};
+pub use engine::Engine;
 pub use keyed::KeyedEngine;
 pub use rng::{Rng, RngFactory, SampleRange, Zipf};
 pub use stats::{quantile, RatioBin, RatioSeries, Summary};

@@ -38,33 +38,6 @@ proptest! {
         prop_assert_eq!(order, (0..count).collect::<Vec<_>>());
     }
 
-    /// Cancelling a subset removes exactly that subset.
-    #[test]
-    fn cancellation_is_exact(
-        delays in prop::collection::vec(0u64..1_000_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut engine = Engine::new();
-        let ids: Vec<_> = delays
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (i, engine.schedule_at(SimTime::from_nanos(d), i)))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in ids {
-            if cancel_mask.get(i).copied().unwrap_or(false) {
-                prop_assert!(engine.cancel(id));
-            } else {
-                expected.push(i);
-            }
-        }
-        let mut fired: Vec<usize> =
-            std::iter::from_fn(|| engine.pop().map(|(_, i)| i)).collect();
-        fired.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(fired, expected);
-    }
-
     /// The ratio series conserves totals: summing bin numerators and
     /// denominators reproduces the inputs.
     #[test]

@@ -161,7 +161,7 @@ awk -v s="$summary_delivery" -v l="$linear_delivery" 'BEGIN {exit !(s >= l)}' \
     || { echo "FAIL: summary delivery fell below linear"; exit 1; }
 
 echo "== tier-1: extras (proptests; needs registry access) =="
-# The extras package pulls proptest/criterion from crates.io, so it
+# The extras package pulls proptest from crates.io, so it
 # only builds where the registry is reachable (or vendored). When it
 # resolves, run the proptest suites -- including the client-layer
 # model equivalence (client_aggregation_proptests) and the summary
