@@ -87,6 +87,7 @@ fn main() -> ExitCode {
     ]);
     results.extend(topology_build());
     let mut gossip_results = gossip_rounds();
+    gossip_results.push(gossip_round_push_idle());
     gossip_results.extend(digest_scaling());
     gossip_results.extend(table_matching_aggregated());
     let net_results = vec![
@@ -408,6 +409,39 @@ fn gossip_rounds() -> Vec<BenchResult> {
             result
         })
         .collect()
+}
+
+/// An idle push round over a large pattern universe: the table knows
+/// all 4096 patterns (the `scale-dense` shape — the flood teaches every
+/// dispatcher every subscribed pattern) and the cache is empty, so the
+/// round draws a pattern, finds nothing to announce and sends nothing.
+/// What it costs is the draw over the whole table.
+fn gossip_round_push_idle() -> BenchResult {
+    const ROUNDS: u64 = 1_000;
+    const UNIVERSE: u16 = 4096;
+    let mut node = Dispatcher::new(
+        NodeId::new(5),
+        DispatcherConfig {
+            pattern_universe: usize::from(UNIVERSE),
+            degree_hint: 4,
+            ..DispatcherConfig::default()
+        },
+    );
+    for p in 0..UNIVERSE {
+        let from = NodeId::new(1 + u32::from(p % 4));
+        node.on_subscribe(PatternId::new(p), from, &[]);
+    }
+    let neighbors: Vec<NodeId> = (1..=4).map(NodeId::new).collect();
+    let mut strategy = Algorithm::push().build(eps_gossip::GossipConfig::default());
+    let mut sent = 0usize;
+    let result = bench("gossip_round/push-idle-4096", 2, 15, ROUNDS, || {
+        let mut rng = Rng::from_seed(7);
+        for _ in 0..ROUNDS {
+            sent += strategy.on_round(&node, &neighbors, &mut rng).len();
+        }
+    });
+    assert_eq!(sent, 0, "an empty cache has nothing to announce");
+    result
 }
 
 /// Cache sizes of the digest-cost sweep: 10²–10⁵ cached events, the

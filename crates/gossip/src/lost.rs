@@ -38,6 +38,8 @@ pub struct LostBuffer {
     /// of `entries` (keyed (source, pattern, seq)) would expose — so
     /// `for_pattern` and `patterns` need no full-buffer scan.
     by_pattern: Vec<BTreeSet<(NodeId, u64)>>,
+    /// Non-empty sets in `by_pattern`.
+    pattern_count: usize,
     /// Outstanding-entry count per source, so `sources` is
     /// O(#distinct sources) instead of a scan with sort + dedup.
     source_counts: BTreeMap<NodeId, usize>,
@@ -84,6 +86,7 @@ impl LostBuffer {
         LostBuffer {
             entries: BTreeMap::new(),
             by_pattern: Vec::new(),
+            pattern_count: 0,
             source_counts: BTreeMap::new(),
             order: VecDeque::new(),
             next_stamp: 0,
@@ -137,14 +140,22 @@ impl LostBuffer {
         if idx >= self.by_pattern.len() {
             self.by_pattern.resize_with(idx + 1, BTreeSet::new);
         }
-        self.by_pattern[idx].insert((record.source, record.seq));
+        let set = &mut self.by_pattern[idx];
+        if set.is_empty() {
+            self.pattern_count += 1;
+        }
+        set.insert((record.source, record.seq));
         *self.source_counts.entry(record.source).or_insert(0) += 1;
     }
 
     /// Removes `record` from the secondary indexes (it must have been
     /// indexed).
     fn index_remove(&mut self, record: &LossRecord) {
-        self.by_pattern[record.pattern.index()].remove(&(record.source, record.seq));
+        let set = &mut self.by_pattern[record.pattern.index()];
+        set.remove(&(record.source, record.seq));
+        if set.is_empty() {
+            self.pattern_count -= 1;
+        }
         let count = self
             .source_counts
             .get_mut(&record.source)
@@ -211,23 +222,28 @@ impl LostBuffer {
     /// The distinct patterns with outstanding entries, in order
     /// (ascending pattern id — dense index order).
     pub fn patterns(&self) -> Vec<PatternId> {
-        let mut out = Vec::new();
-        self.patterns_into(&mut out);
-        out
+        self.nonempty_patterns().collect()
     }
 
-    /// Clears `out` and fills it with [`LostBuffer::patterns`] — the
-    /// allocation-free form the steering scratch buffers reuse every
-    /// gossip round.
-    pub fn patterns_into(&self, out: &mut Vec<PatternId>) {
-        out.clear();
-        out.extend(
-            self.by_pattern
-                .iter()
-                .enumerate()
-                .filter(|(_, set)| !set.is_empty())
-                .map(|(idx, _)| PatternId::new(idx as u16)),
-        );
+    /// Number of distinct patterns with outstanding entries
+    /// (`patterns().len()`, without listing them).
+    pub fn pattern_count(&self) -> usize {
+        self.pattern_count
+    }
+
+    /// The `k`-th pattern of [`LostBuffer::patterns`], or `None` once
+    /// `k >= pattern_count()` — what a pull round draws its pattern
+    /// by, without building the list.
+    pub fn nth_pattern(&self, k: usize) -> Option<PatternId> {
+        self.nonempty_patterns().nth(k)
+    }
+
+    fn nonempty_patterns(&self) -> impl Iterator<Item = PatternId> + '_ {
+        self.by_pattern
+            .iter()
+            .enumerate()
+            .filter(|(_, set)| !set.is_empty())
+            .map(|(idx, _)| PatternId::new(idx as u16))
     }
 
     /// The distinct sources with outstanding entries, in order
@@ -468,6 +484,16 @@ mod tests {
         LostBuffer::with_capacity(10, 0);
     }
 
+    /// `pattern_count` and `nth_pattern` agree with `patterns()`.
+    fn assert_ranks_match(lost: &LostBuffer) {
+        let patterns = lost.patterns();
+        assert_eq!(lost.pattern_count(), patterns.len());
+        for (k, &p) in patterns.iter().enumerate() {
+            assert_eq!(lost.nth_pattern(k), Some(p));
+        }
+        assert_eq!(lost.nth_pattern(patterns.len()), None);
+    }
+
     #[test]
     fn indexes_stay_exact_across_recover_abandon_evict() {
         let mut lost = LostBuffer::with_capacity(2, 4);
@@ -475,6 +501,7 @@ mod tests {
             lost.add(rec(s, p, q)); // 5th add evicts the oldest
         }
         assert_eq!(lost.evicted_total(), 1);
+        assert_ranks_match(&lost);
         assert_eq!(
             lost.patterns(),
             vec![PatternId::new(1), PatternId::new(2), PatternId::new(3)]
@@ -490,11 +517,16 @@ mod tests {
         );
         lost.clear_for_event(&event);
         assert_eq!(lost.patterns(), vec![PatternId::new(1), PatternId::new(2)]);
+        assert_ranks_match(&lost);
         // Abandon p2 entries via attempts (max_attempts = 2).
         lost.for_pattern(PatternId::new(2), 10);
         lost.for_pattern(PatternId::new(2), 10);
         assert_eq!(lost.patterns(), vec![PatternId::new(1)]);
+        assert_ranks_match(&lost);
         assert_eq!(lost.sources(), vec![NodeId::new(3)]);
         assert_eq!(lost.for_source(NodeId::new(3), 10), vec![rec(3, 1, 4)]);
+        lost.for_source(NodeId::new(3), 10); // abandons the last entry
+        assert!(lost.is_empty());
+        assert_ranks_match(&lost);
     }
 }

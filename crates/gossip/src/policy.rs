@@ -108,27 +108,23 @@ pub trait DigestPolicy: fmt::Debug + Send {
     /// steering stage runs (push's idle-streak accounting).
     fn begin_round(&mut self) {}
 
-    /// The patterns a pattern-steered round may be labelled with.
-    fn pattern_candidates(&self, node: &Dispatcher) -> Vec<PatternId>;
-
-    /// Clears `out` and fills it with [`DigestPolicy::pattern_candidates`],
-    /// same contents in the same order. The steering policies call this
-    /// once per gossip round through a reused scratch buffer, so
-    /// implementations should override it to fill without allocating;
-    /// the default delegates to the allocating form.
-    fn pattern_candidates_into(&self, node: &Dispatcher, out: &mut Vec<PatternId>) {
-        out.clear();
-        out.extend(self.pattern_candidates(node));
-    }
+    /// Draws the pattern a pattern-steered round is labelled with,
+    /// uniformly from this policy's candidate patterns, or `None` when
+    /// there are none. The RNG use is exactly that of `rng.choose` over
+    /// the candidates listed in ascending id order: one
+    /// `random_below(n)` for n > 0 candidates, no draw for none — but
+    /// the draw is by rank, so no round lists them.
+    fn draw_pattern(&self, node: &Dispatcher, rng: &mut Rng) -> Option<PatternId>;
 
     /// The sources a source-steered round may target.
     fn source_candidates(&self) -> Vec<NodeId> {
         Vec::new()
     }
 
-    /// Clears `out` and fills it with [`DigestPolicy::source_candidates`]
-    /// (same per-round scratch-buffer contract as
-    /// [`DigestPolicy::pattern_candidates_into`]).
+    /// Clears `out` and fills it with [`DigestPolicy::source_candidates`],
+    /// same contents in the same order. The source steering calls this
+    /// once per gossip round through a reused scratch buffer, so
+    /// implementations should override it to fill without allocating.
     fn source_candidates_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend(self.source_candidates());
@@ -258,6 +254,27 @@ pub trait SteeringPolicy: fmt::Debug + Send {
 // Forwarding helpers shared by the steering policies.
 // ---------------------------------------------------------------------------
 
+/// Draws one of `n` ranked candidates the way `rng.choose` draws from
+/// an `n`-element list — one `random_below(n)`, nothing when `n == 0` —
+/// and maps the rank through `nth` instead of indexing a list.
+pub(crate) fn draw_by_rank(
+    rng: &mut Rng,
+    n: usize,
+    nth: impl FnOnce(usize) -> Option<PatternId>,
+) -> Option<PatternId> {
+    if n == 0 {
+        return None;
+    }
+    nth(rng.random_below(n as u64) as usize)
+}
+
+/// A pattern drawn from the dispatcher's whole subscription table (the
+/// proactive digests: being on the path to a subscriber is enough).
+pub(crate) fn draw_table_pattern(node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
+    let table = node.table();
+    draw_by_rank(rng, table.len(), |k| table.nth_pattern(k))
+}
+
 /// The neighbors a pattern-labelled gossip message is forwarded to:
 /// the neighbors subscribed to `pattern` (excluding the arrival
 /// interface), each kept with probability `p_forward` — the paper's
@@ -383,13 +400,8 @@ impl DigestPolicy for PositiveDigest {
         self.requests_since_round = 0;
     }
 
-    fn pattern_candidates(&self, node: &Dispatcher) -> Vec<PatternId> {
-        node.table().all_patterns().collect()
-    }
-
-    fn pattern_candidates_into(&self, node: &Dispatcher, out: &mut Vec<PatternId>) {
-        out.clear();
-        out.extend(node.table().all_patterns());
+    fn draw_pattern(&self, node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
+        draw_table_pattern(node, rng)
     }
 
     fn build_for_pattern(
@@ -499,12 +511,8 @@ impl NegativeDigest {
 }
 
 impl DigestPolicy for NegativeDigest {
-    fn pattern_candidates(&self, _node: &Dispatcher) -> Vec<PatternId> {
-        self.lost.patterns()
-    }
-
-    fn pattern_candidates_into(&self, _node: &Dispatcher, out: &mut Vec<PatternId>) {
-        self.lost.patterns_into(out);
+    fn draw_pattern(&self, _node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
+        draw_by_rank(rng, self.lost.pattern_count(), |k| self.lost.nth_pattern(k))
     }
 
     fn source_candidates(&self) -> Vec<NodeId> {
@@ -640,19 +648,11 @@ impl DigestPolicy for AlternatingDigest {
         }
     }
 
-    fn pattern_candidates(&self, node: &Dispatcher) -> Vec<PatternId> {
+    fn draw_pattern(&self, node: &Dispatcher, rng: &mut Rng) -> Option<PatternId> {
         if self.positive_phase {
-            self.positive.pattern_candidates(node)
+            self.positive.draw_pattern(node, rng)
         } else {
-            self.negative.pattern_candidates(node)
-        }
-    }
-
-    fn pattern_candidates_into(&self, node: &Dispatcher, out: &mut Vec<PatternId>) {
-        if self.positive_phase {
-            self.positive.pattern_candidates_into(node, out);
-        } else {
-            self.negative.pattern_candidates_into(node, out);
+            self.negative.draw_pattern(node, rng)
         }
     }
 
@@ -757,17 +757,13 @@ impl DigestPolicy for AlternatingDigest {
 // ---------------------------------------------------------------------------
 
 /// Pattern steering: a round draws a pattern from the digest policy's
-/// candidates, and the digest travels along the dispatching tree as if
-/// it were an event matching that pattern, except that each hop
-/// forwards it only to a random subset of the matching neighbors
-/// (`P_forward`). Used by push, subscriber-pull, and the hybrid.
+/// candidates ([`DigestPolicy::draw_pattern`]), and the digest travels
+/// along the dispatching tree as if it were an event matching that
+/// pattern, except that each hop forwards it only to a random subset of
+/// the matching neighbors (`P_forward`). Used by push, subscriber-pull,
+/// and the hybrid. Stateless: a round lists no candidates.
 #[derive(Clone, Debug, Default)]
-pub struct PatternSteering {
-    /// Per-round candidate scratch, refilled via
-    /// [`DigestPolicy::pattern_candidates_into`] so the steady-state
-    /// round allocates nothing.
-    candidates: Vec<PatternId>,
-}
+pub struct PatternSteering;
 
 impl SteeringPolicy for PatternSteering {
     fn round(
@@ -778,8 +774,7 @@ impl SteeringPolicy for PatternSteering {
         config: &GossipConfig,
         rng: &mut Rng,
     ) -> Vec<GossipAction> {
-        digest.pattern_candidates_into(node, &mut self.candidates);
-        let Some(&pattern) = rng.choose(&self.candidates) else {
+        let Some(pattern) = digest.draw_pattern(node, rng) else {
             return Vec::new(); // Nothing to gossip about: skip the round.
         };
         let Some(body) = digest.build_for_pattern(node, pattern, config.digest_max) else {
@@ -852,8 +847,9 @@ impl SteeringPolicy for PatternSteering {
 /// often short-circuit the recovery.
 #[derive(Clone, Debug, Default)]
 pub struct SourceSteering {
-    /// Per-round candidate scratch (same contract as
-    /// [`PatternSteering`]'s).
+    /// Per-round candidate scratch, refilled via
+    /// [`DigestPolicy::source_candidates_into`] so the steady-state
+    /// round allocates nothing.
     sources: Vec<NodeId>,
 }
 
@@ -1120,6 +1116,9 @@ impl<P: SteeringPolicy, S: SteeringPolicy> SteeringPolicy for MuxSteering<P, S> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    use crate::summary::SummaryDigestPolicy;
     use eps_pubsub::DispatcherConfig;
     use eps_sim::RngFactory;
 
@@ -1136,6 +1135,19 @@ mod tests {
             pattern: PatternId::new(pattern),
             seq,
         }
+    }
+
+    /// The distinct patterns 256 seeded `draw_pattern` calls yield, in
+    /// order: the whole candidate set for the few-pattern sets these
+    /// tests build. Every call must draw something when any does.
+    fn drawn_patterns(digest: &dyn DigestPolicy, node: &Dispatcher) -> Vec<PatternId> {
+        let mut rng = RngFactory::new(5).stream("draw");
+        let drawn: Vec<PatternId> = (0..256)
+            .filter_map(|_| digest.draw_pattern(node, &mut rng))
+            .collect();
+        assert!(drawn.is_empty() || drawn.len() == 256);
+        let set: BTreeSet<PatternId> = drawn.into_iter().collect();
+        set.into_iter().collect()
     }
 
     fn node_with_cached_event() -> (Dispatcher, Event) {
@@ -1214,7 +1226,7 @@ mod tests {
         node.subscribe_local(p, &[]);
         let (event, _) = node.publish(&[p]);
         let mut digest = PositiveDigest::new();
-        assert_eq!(digest.pattern_candidates(&node), vec![p]);
+        assert_eq!(drawn_patterns(&digest, &node), vec![p]);
         match digest.build_for_pattern(&node, p, 128) {
             Some(DigestBody::Positive(ids)) => assert_eq!(*ids, vec![event.id()]),
             other => panic!("unexpected {other:?}"),
@@ -1274,7 +1286,10 @@ mod tests {
         let mut digest = NegativeDigest::new(&cfg());
         digest.on_losses(&[record(0, 1, 7), record(2, 3, 1)]);
         assert_eq!(digest.outstanding_losses(), 2);
-        assert_eq!(digest.pattern_candidates(&node).len(), 2);
+        assert_eq!(
+            drawn_patterns(&digest, &node),
+            vec![PatternId::new(1), PatternId::new(3)]
+        );
         assert_eq!(digest.source_candidates().len(), 2);
         match digest.build_for_source(NodeId::new(2), 128) {
             Some(DigestBody::Negative(entries)) => assert_eq!(entries, vec![record(2, 3, 1)]),
@@ -1360,6 +1375,83 @@ mod tests {
         }
     }
 
+    /// `draw_pattern` against `rng.choose` over the listed candidates,
+    /// on cloned streams: same pattern (or both `None`), and the same
+    /// next `u64` after — so an empty set consumes no draw and a
+    /// non-empty one exactly the draw `choose` makes.
+    fn assert_draws_like_choose(
+        digest: &dyn DigestPolicy,
+        node: &Dispatcher,
+        candidates: &[PatternId],
+        rng: &mut Rng,
+    ) {
+        let mut reference = rng.clone();
+        let drawn = digest.draw_pattern(node, rng);
+        assert_eq!(drawn, reference.choose(candidates).copied(), "{digest:?}");
+        assert_eq!(rng.next_u64(), reference.next_u64(), "{digest:?}");
+    }
+
+    #[test]
+    fn draw_pattern_consumes_the_rng_exactly_like_choose() {
+        // Random tables spanning several 64-pattern blocks (Π not a
+        // multiple of 64), narrow and wide rows; random `Lost` sets.
+        let mut gen = RngFactory::new(14).stream("draw-contract");
+        for case in 0..256 {
+            let universe = gen.random_range(1..300u64) as u16;
+            let degree = gen.random_range(1..13u64) as u32;
+            let config = DispatcherConfig {
+                pattern_universe: usize::from(universe),
+                ..DispatcherConfig::default()
+            };
+            let mut node = Dispatcher::new(NodeId::new(0), config);
+            let mut positive = PositiveDigest::new();
+            let mut negative = NegativeDigest::new(&cfg());
+            let mut alternating = AlternatingDigest::new(&cfg());
+            let summary_push = SummaryDigestPolicy::push(&cfg());
+            let summary_pull = SummaryDigestPolicy::pull(&cfg());
+            // Case 0 stays empty: no draw may be consumed.
+            let inserts = if case == 0 {
+                0
+            } else {
+                gen.random_range(0..2 * u64::from(universe))
+            };
+            for _ in 0..inserts {
+                let p = PatternId::new(gen.random_range(0..u64::from(universe)) as u16);
+                if gen.random_bool(0.3) {
+                    node.subscribe_local(p, &[]);
+                } else {
+                    let from = NodeId::new(1 + gen.random_range(0..u64::from(degree)) as u32);
+                    node.on_subscribe(p, from, &[]);
+                }
+                if gen.random_bool(0.2) {
+                    let loss = [record(
+                        gen.random_range(0..5u64) as u32,
+                        p.index() as u16,
+                        0,
+                    )];
+                    negative.on_losses(&loss);
+                    alternating.on_losses(&loss);
+                }
+            }
+            let table: Vec<PatternId> = node.table().all_patterns().collect();
+            let lost = negative.lost().patterns();
+            let mut rng = RngFactory::new(case).stream("gossip");
+            for _ in 0..4 {
+                positive.begin_round();
+                assert_draws_like_choose(&positive, &node, &table, &mut rng);
+                assert_draws_like_choose(&summary_push, &node, &table, &mut rng);
+                assert_draws_like_choose(&summary_pull, &node, &table, &mut rng);
+                assert_draws_like_choose(&negative, &node, &lost, &mut rng);
+                alternating.begin_round();
+                assert!(alternating.in_positive_phase());
+                assert_draws_like_choose(&alternating, &node, &table, &mut rng);
+                alternating.begin_round();
+                assert!(!alternating.in_positive_phase());
+                assert_draws_like_choose(&alternating, &node, &lost, &mut rng);
+            }
+        }
+    }
+
     #[test]
     fn alternating_digest_flips_phase_each_round() {
         let mut node = Dispatcher::new(NodeId::new(0), DispatcherConfig::default());
@@ -1376,7 +1468,7 @@ mod tests {
         ));
         digest.begin_round();
         assert!(!digest.in_positive_phase());
-        assert_eq!(digest.pattern_candidates(&node), vec![PatternId::new(2)]);
+        assert_eq!(drawn_patterns(&digest, &node), vec![PatternId::new(2)]);
         assert!(matches!(
             digest.build_for_pattern(&node, PatternId::new(2), 128),
             Some(DigestBody::Negative(_))
@@ -1407,7 +1499,7 @@ mod tests {
     fn pattern_steering_skips_round_without_candidates() {
         let node = Dispatcher::new(NodeId::new(0), DispatcherConfig::default());
         let mut digest = NegativeDigest::new(&cfg());
-        let mut steering = PatternSteering::default();
+        let mut steering = PatternSteering;
         let mut rng = RngFactory::new(3).stream("gossip");
         assert!(steering
             .round(&mut digest, &node, &[], &cfg(), &mut rng)
@@ -1422,7 +1514,7 @@ mod tests {
         node.on_subscribe(p, NodeId::new(2), &[]);
         let mut digest = NegativeDigest::new(&cfg());
         digest.on_losses(&[record(7, 1, 0)]);
-        let mut steering = PatternSteering::default();
+        let mut steering = PatternSteering;
         let mut rng = RngFactory::new(1).stream("gossip");
         let actions = steering.round(&mut digest, &node, &[], &cfg(), &mut rng);
         assert_eq!(actions.len(), 1);
@@ -1560,7 +1652,7 @@ mod tests {
             ..GossipConfig::default()
         };
         let mut digest = NegativeDigest::new(&config);
-        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering::default());
+        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering);
         let mut rng = RngFactory::new(9).stream("gossip");
         let (mut saw_pull, mut saw_source) = (false, false);
         for seq in 0..200u64 {
@@ -1597,7 +1689,7 @@ mod tests {
         };
         let mut digest = NegativeDigest::new(&config);
         digest.on_losses(&[record(0, 1, 5)]);
-        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering::default());
+        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering);
         let mut rng = RngFactory::new(9).stream("gossip");
         let actions = mux.round(&mut digest, &node, &[], &config, &mut rng);
         assert!(
@@ -1616,7 +1708,7 @@ mod tests {
     fn mux_steering_skips_round_without_work() {
         let node = Dispatcher::new(NodeId::new(5), DispatcherConfig::default());
         let mut digest = NegativeDigest::new(&cfg());
-        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering::default());
+        let mut mux = MuxSteering::new(SourceSteering::default(), PatternSteering);
         let mut rng = RngFactory::new(9).stream("gossip");
         assert!(mux
             .round(&mut digest, &node, &[], &cfg(), &mut rng)

@@ -66,9 +66,10 @@ use crate::world::{charge_send, harvest, run_tracker, World};
 ///
 /// Deterministic: the same configuration produces the same result, bit
 /// for bit, **for every `shards` value** — `shards` only chooses how
-/// the work is executed. A value of 1 runs the windowed semantics
-/// inline without threads; larger values use one worker thread per
-/// shard. `shards` is clamped to the node count.
+/// the work is executed. The calling thread runs the first shard and
+/// each further shard gets a worker thread, so a value of 1 runs the
+/// windowed semantics inline without threads. `shards` is clamped to
+/// the node count.
 ///
 /// # Examples
 ///
@@ -177,71 +178,69 @@ pub fn run_scenario_sharded_with_stats(
     let setup_wall = setup_started.elapsed();
     let loop_started = std::time::Instant::now();
 
-    if coord.shards.len() == 1 {
-        // Inline fast path: identical windowed semantics, no threads.
+    // The calling thread runs shard 0's windows itself; every further
+    // shard gets a worker thread (none at one shard). Per window, the
+    // busy worker shards are dispatched first, so shard 0 runs
+    // concurrently with them, and only they cost a channel round trip.
+    let worker_count = coord.shards.len() - 1;
+    std::thread::scope(|scope| {
+        let (res_tx, res_rx) = mpsc::sync_channel::<(usize, Box<Shard>)>(worker_count);
+        let mut job_txs: Vec<mpsc::SyncSender<Job>> = Vec::with_capacity(worker_count);
+        for i in 1..=worker_count {
+            let (tx, rx) = mpsc::sync_channel::<Job>(1);
+            let res_tx = res_tx.clone();
+            scope.spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    let Job {
+                        mut shard,
+                        world,
+                        window_end,
+                    } = job;
+                    shard.run_window(&world, config, window_end);
+                    // Release the shared-state handle *before*
+                    // reporting back: the coordinator mutates the
+                    // topology and subscriber index between windows
+                    // via `Arc::get_mut`, which requires that no
+                    // worker still holds a clone.
+                    drop(world);
+                    res_tx.send((i, shard)).expect("coordinator receives");
+                }
+            });
+            job_txs.push(tx);
+        }
         coord.run(|shards, world, config, end| {
+            let mut dispatched = 0usize;
+            for (i, slot) in shards.iter_mut().enumerate().skip(1) {
+                let busy = slot
+                    .as_ref()
+                    .expect("shard home at the barrier")
+                    .engine
+                    .peek_time()
+                    .is_some_and(|t| t < end);
+                if busy {
+                    let shard = slot.take().expect("shard present");
+                    job_txs[i - 1]
+                        .send(Job {
+                            shard,
+                            world: Arc::clone(world),
+                            window_end: end,
+                        })
+                        .expect("worker alive");
+                    dispatched += 1;
+                }
+            }
             shards[0]
                 .as_mut()
                 .expect("shard home at the barrier")
                 .run_window(world, config, end);
-        });
-    } else {
-        let worker_count = coord.shards.len();
-        std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::sync_channel::<(usize, Box<Shard>)>(worker_count);
-            let mut job_txs: Vec<mpsc::SyncSender<Job>> = Vec::with_capacity(worker_count);
-            for i in 0..worker_count {
-                let (tx, rx) = mpsc::sync_channel::<Job>(1);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let Job {
-                            mut shard,
-                            world,
-                            window_end,
-                        } = job;
-                        shard.run_window(&world, config, window_end);
-                        // Release the shared-state handle *before*
-                        // reporting back: the coordinator mutates the
-                        // topology and subscriber index between
-                        // windows via `Arc::get_mut`, which requires
-                        // that no worker still holds a clone.
-                        drop(world);
-                        res_tx.send((i, shard)).expect("coordinator receives");
-                    }
-                });
-                job_txs.push(tx);
+            for _ in 0..dispatched {
+                let (i, shard) = res_rx.recv().expect("worker replies");
+                shards[i] = Some(shard);
             }
-            coord.run(|shards, world, _config, end| {
-                let mut dispatched = 0usize;
-                for (i, slot) in shards.iter_mut().enumerate() {
-                    let busy = slot
-                        .as_ref()
-                        .expect("shard home at the barrier")
-                        .engine
-                        .peek_time()
-                        .is_some_and(|t| t < end);
-                    if busy {
-                        let shard = slot.take().expect("shard present");
-                        job_txs[i]
-                            .send(Job {
-                                shard,
-                                world: Arc::clone(world),
-                                window_end: end,
-                            })
-                            .expect("worker alive");
-                        dispatched += 1;
-                    }
-                }
-                for _ in 0..dispatched {
-                    let (i, shard) = res_rx.recv().expect("worker replies");
-                    shards[i] = Some(shard);
-                }
-            });
-            // Dropping the job senders ends the worker loops.
-            drop(job_txs);
         });
-    }
+        // Dropping the job senders ends the worker loops.
+        drop(job_txs);
+    });
 
     let loop_wall = loop_started.elapsed();
 
@@ -533,8 +532,8 @@ impl Coordinator<'_> {
         self.shards[i].as_mut().expect("shard home at the barrier")
     }
 
-    /// The main loop. Node windows run through `exec` (inline or
-    /// fanned across workers); coordinator events run here whenever
+    /// The main loop. Node windows run through `exec` (shard 0 on this
+    /// thread, the rest on workers); coordinator events run here whenever
     /// the next one is not strictly after the earliest node event —
     /// so a global event at time `g` sees every node's state up to
     /// `g`, and node events at the same instant run after it.
@@ -595,7 +594,9 @@ impl Coordinator<'_> {
 
     /// Exclusive access to the shared run state. Sound because global
     /// events only run between windows, when every worker has dropped
-    /// its handle (workers drop before reporting their shard back).
+    /// its handle (workers drop before reporting their shard back) and
+    /// the coordinator's own shard-0 window, which only borrows the
+    /// state, has returned.
     fn world_mut(world: &mut Arc<World>) -> &mut World {
         Arc::get_mut(world).expect("no worker holds the shared state at a barrier")
     }

@@ -153,6 +153,17 @@ impl Iterator for SetBits<'_> {
     }
 }
 
+/// Packs "byte `i` of `x` is non-zero" into bit `i` (`i < 8`).
+fn nonzero_bytes(x: u64) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    // Bit 7 of each byte: set iff the byte is non-zero. The add cannot
+    // carry across bytes (at most 0x7f + 0x7f).
+    let high = (((x & LOW7) + LOW7) | x) & !LOW7;
+    // Gather bits 7, 15, …, 63 into the top byte; each output bit has
+    // exactly one contributing term, so the multiply never carries.
+    (high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
 /// The per-pattern neighbor sets, structure-of-arrays.
 #[derive(Clone, Debug)]
 enum Rows {
@@ -452,9 +463,11 @@ impl SubscriptionTable {
         self.slots.remove(slot);
         match &mut self.rows {
             Rows::Narrow(rows) => {
+                // Bits above `slot` move down one. (Shifting by
+                // `slot + 1` would overflow the byte for slot 7.)
                 let low = (1u8 << slot) - 1;
                 for b in rows.iter_mut() {
-                    *b = (*b & low) | ((*b >> (slot + 1)) << slot);
+                    *b = (*b & low) | ((*b >> 1) & !low);
                 }
             }
             Rows::Wide(rows) => {
@@ -606,6 +619,62 @@ impl SubscriptionTable {
         (0..self.patterns)
             .filter(|&idx| !self.entry_is_empty(idx))
             .map(|idx| PatternId::new(idx as u16))
+    }
+
+    /// The `k`-th known pattern in ascending id order — equal to
+    /// `all_patterns().nth(k)`, `None` once `k >= len()`. Each
+    /// 64-pattern block is reduced to one word of non-empty flags
+    /// (local bits OR'd with a mask of the non-empty neighbor rows) and
+    /// skipped whole by its `count_ones`; only the block holding rank
+    /// `k` is searched bit by bit. This is how a gossip round draws its
+    /// pattern from the whole table without listing it.
+    pub fn nth_pattern(&self, k: usize) -> Option<PatternId> {
+        if k >= self.known {
+            return None;
+        }
+        let mut rank = k;
+        for block in 0..self.patterns.div_ceil(64) {
+            let mut word = self.local[block] | self.nonempty_rows(block);
+            let count = word.count_ones() as usize;
+            if rank < count {
+                for _ in 0..rank {
+                    word &= word - 1;
+                }
+                let idx = block * 64 + word.trailing_zeros() as usize;
+                return Some(PatternId::new(idx as u16));
+            }
+            rank -= count;
+        }
+        None
+    }
+
+    /// Bit `i` set iff pattern `64·block + i` has a neighbor
+    /// subscribed. Narrow rows are tested eight bytes per word.
+    fn nonempty_rows(&self, block: usize) -> u64 {
+        let lo = block * 64;
+        let hi = (lo + 64).min(self.patterns);
+        match &self.rows {
+            Rows::Narrow(rows) => {
+                let chunks = rows[lo..hi].chunks_exact(8);
+                let tail = chunks.remainder();
+                let mut mask = 0u64;
+                let mut shift = 0;
+                for chunk in chunks {
+                    let bytes = chunk.try_into().expect("chunks_exact(8)");
+                    mask |= nonzero_bytes(u64::from_le_bytes(bytes)) << shift;
+                    shift += 8;
+                }
+                for (i, &b) in tail.iter().enumerate() {
+                    mask |= u64::from(b != 0) << (shift + i);
+                }
+                mask
+            }
+            Rows::Wide(rows) => rows[lo..hi]
+                .iter()
+                .enumerate()
+                .filter(|(_, m)| !m.is_empty())
+                .fold(0, |mask, (i, _)| mask | 1 << i),
+        }
     }
 
     /// Number of patterns known.
@@ -829,6 +898,107 @@ mod tests {
             }
         }
         assert_eq!(t, r);
+    }
+
+    #[test]
+    fn nonzero_bytes_packs_one_bit_per_byte() {
+        assert_eq!(nonzero_bytes(0), 0);
+        assert_eq!(nonzero_bytes(u64::MAX), 0xff);
+        for byte in 0..8 {
+            for value in [1u64, 0x7f, 0x80, 0xff] {
+                assert_eq!(nonzero_bytes(value << (8 * byte)), 1 << byte);
+            }
+        }
+        assert_eq!(nonzero_bytes(0x0100_8000_0001_0000), 0b1010_0100);
+    }
+
+    /// Asserts `nth_pattern` against `all_patterns().nth` for every
+    /// rank, and `None` at `len()` and beyond.
+    fn assert_nth_matches_listing(t: &SubscriptionTable) {
+        let all: Vec<PatternId> = t.all_patterns().collect();
+        assert_eq!(all.len(), t.len());
+        for (k, &p) in all.iter().enumerate() {
+            assert_eq!(t.nth_pattern(k), Some(p), "rank {k} of {}", all.len());
+        }
+        assert_eq!(t.nth_pattern(t.len()), None);
+        assert_eq!(t.nth_pattern(t.len() + 64), None);
+    }
+
+    #[test]
+    fn nth_pattern_matches_all_patterns_for_random_tables() {
+        let mut rng = eps_sim::RngFactory::new(7).stream("nth-pattern");
+        for case in 0..256u64 {
+            // Universes from under one 64-pattern block to several,
+            // mostly not multiples of 64; some tables start undersized
+            // (or unsized) and grow past `with_dims` on demand.
+            let universe = rng.random_range(1..400u64) as u16;
+            let sized = rng.random_range(0..u64::from(universe) + 1) as usize;
+            // Up to 12 neighbors: past 8 the rows upgrade to wide masks.
+            let degree = rng.random_range(1..13u64) as u32;
+            let mut t = if case % 4 == 0 {
+                SubscriptionTable::new()
+            } else {
+                SubscriptionTable::with_dims(sized, degree as usize)
+            };
+            let ops = rng.random_range(1..3 * u64::from(universe) + 2);
+            for op in 0..ops {
+                let p = PatternId::new(rng.random_range(0..u64::from(universe)) as u16);
+                let n = NodeId::new(rng.random_range(0..u64::from(degree)) as u32);
+                let iface = if rng.random_bool(0.3) {
+                    Interface::Local
+                } else {
+                    Interface::Neighbor(n)
+                };
+                match rng.random_range(0..20u32) {
+                    0..=11 => {
+                        t.insert(p, iface);
+                    }
+                    12..=18 => {
+                        t.remove(p, iface);
+                    }
+                    _ => {
+                        t.remove_neighbor(n);
+                    }
+                }
+                if op % 16 == 0 {
+                    assert_nth_matches_listing(&t);
+                }
+            }
+            assert_nth_matches_listing(&t);
+        }
+    }
+
+    #[test]
+    fn narrow_removal_of_the_eighth_slot_clears_its_bit() {
+        // Slot 7 is the top bit of a narrow row: retiring it must not
+        // shift another neighbor's bit into it.
+        let mut t = SubscriptionTable::new();
+        let p = PatternId::new(0);
+        for raw in 0..8u32 {
+            t.insert(p, Interface::Neighbor(NodeId::new(raw)));
+        }
+        assert_eq!(t.remove_neighbor(NodeId::new(7)), vec![p]);
+        let ids: Vec<NodeId> = (0..7).map(NodeId::new).collect();
+        assert_eq!(t.neighbors_for(p, None), ids);
+    }
+
+    #[test]
+    fn nth_pattern_survives_the_narrow_to_wide_upgrade() {
+        let mut t = SubscriptionTable::with_dims(130, 2);
+        for idx in (0..130u16).step_by(3) {
+            t.insert(PatternId::new(idx), Interface::Neighbor(NodeId::new(1)));
+        }
+        t.insert(PatternId::new(129), Interface::Local);
+        assert_nth_matches_listing(&t);
+        // Nine neighbors force the wide layout; the ranks must not move.
+        for raw in 2..11u32 {
+            t.insert(PatternId::new(64), Interface::Neighbor(NodeId::new(raw)));
+        }
+        assert_nth_matches_listing(&t);
+        t.remove_neighbor(NodeId::new(1));
+        assert_nth_matches_listing(&t);
+        assert_eq!(t.nth_pattern(0), Some(PatternId::new(64)));
+        assert_eq!(t.nth_pattern(1), Some(PatternId::new(129)));
     }
 
     #[test]
