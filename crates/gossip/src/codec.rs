@@ -15,7 +15,7 @@
 //! # Body format (version 1)
 //!
 //! All bodies start with a one-byte version and a one-byte type tag.
-//! Multi-byte integers are LEB128 varints unless stated; route hops
+//! Multi-byte integers are minimal LEB128 varints unless stated; route hops
 //! are fixed 4-byte little-endian node ids (one hop =
 //! [`eps_pubsub::ROUTE_HOP_BITS`] on the wire) and the event ids in a `Request`
 //! are fixed 12-byte (source `u32`, seq `u64`) pairs (one id =
@@ -368,7 +368,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
             let gossiper = cur.node()?;
             let pattern = cur.pattern()?;
             let n = cur.list_len()?;
-            let mut ids = Vec::with_capacity(n);
+            let mut ids = Vec::with_capacity(cur.capacity(n));
             for _ in 0..n {
                 let source = cur.node()?;
                 let seq = cur.varint()?;
@@ -395,7 +395,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
             let source = cur.node()?;
             let lost = cur.losses()?;
             let hops = cur.list_len()?;
-            let mut route = Vec::with_capacity(hops);
+            let mut route = Vec::with_capacity(cur.capacity(hops));
             for _ in 0..hops {
                 route.push(NodeId::new(cur.u32_le()?));
             }
@@ -421,7 +421,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
         }
         T_REQUEST => {
             let n = cur.list_len()?;
-            let mut ids = Vec::with_capacity(n);
+            let mut ids = Vec::with_capacity(cur.capacity(n));
             for _ in 0..n {
                 let source = NodeId::new(cur.u32_le()?);
                 let seq = cur.u64_le()?;
@@ -431,7 +431,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
         }
         T_REPLY => {
             let n = cur.list_len()?;
-            let mut events = Vec::with_capacity(n);
+            let mut events = Vec::with_capacity(cur.capacity(n));
             for _ in 0..n {
                 events.push(cur.event_body()?);
             }
@@ -441,7 +441,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
             let gossiper = cur.node()?;
             let pattern = cur.pattern()?;
             let nranges = cur.list_len()?;
-            let mut ranges = Vec::with_capacity(nranges);
+            let mut ranges = Vec::with_capacity(cur.capacity(nranges));
             for _ in 0..nranges {
                 let range = cur.range_ref()?;
                 let count = cur.u64_le()?;
@@ -449,14 +449,14 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
                 ranges.push(RangeSummary { range, count, hash });
             }
             let ndetails = cur.list_len()?;
-            let mut details = Vec::with_capacity(ndetails);
+            let mut details = Vec::with_capacity(cur.capacity(ndetails));
             for _ in 0..ndetails {
                 let range = cur.range_ref()?;
                 let nids = cur.u32_le()?;
                 if u64::from(nids) > MAX_LIST {
                     return Err(CodecError::Malformed("list length is implausible"));
                 }
-                let mut ids = Vec::with_capacity(nids as usize);
+                let mut ids = Vec::with_capacity(cur.capacity(nids as usize));
                 for _ in 0..nids {
                     let source = NodeId::new(cur.u32_le()?);
                     let seq = cur.u64_le()?;
@@ -474,7 +474,7 @@ pub fn decode(buf: &[u8], payload_bits: u64) -> Result<Envelope, CodecError> {
         T_RANGE_REQUEST => {
             let pattern = cur.pattern()?;
             let n = cur.list_len()?;
-            let mut ranges = Vec::with_capacity(n);
+            let mut ranges = Vec::with_capacity(cur.capacity(n));
             for _ in 0..n {
                 ranges.push(cur.range_ref()?);
             }
@@ -584,12 +584,20 @@ impl Cursor<'_> {
         Ok(byte)
     }
 
+    /// A minimal LEB128 varint: the only form `put_varint` writes, so
+    /// a value has exactly one accepted encoding.
     fn varint(&mut self) -> Result<u64, CodecError> {
         let mut value = 0u64;
         for shift in (0..64).step_by(7) {
             let byte = self.u8()?;
+            if shift == 63 && byte > 1 {
+                return Err(CodecError::Malformed("varint exceeds 64 bits"));
+            }
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(CodecError::Malformed("varint is not minimal"));
+                }
                 return Ok(value);
             }
         }
@@ -634,6 +642,13 @@ impl Cursor<'_> {
         Ok(n as usize)
     }
 
+    /// The capacity to reserve for a list claiming `n` items: every
+    /// item takes at least one byte, so no more than the bytes left can
+    /// arrive, whatever the count on the wire says.
+    fn capacity(&self, n: usize) -> usize {
+        n.min(self.buf.len() - self.pos)
+    }
+
     fn range_ref(&mut self) -> Result<RangeRef, CodecError> {
         let level = self.u8()?;
         let index = self.u32_le()?;
@@ -648,7 +663,7 @@ impl Cursor<'_> {
 
     fn losses(&mut self) -> Result<Vec<LossRecord>, CodecError> {
         let n = self.list_len()?;
-        let mut lost = Vec::with_capacity(n);
+        let mut lost = Vec::with_capacity(self.capacity(n));
         for _ in 0..n {
             let source = self.node()?;
             let pattern = self.pattern()?;
@@ -668,7 +683,7 @@ impl Cursor<'_> {
         if hops == 0 {
             return Err(CodecError::Malformed("event route is empty"));
         }
-        let mut route = Vec::with_capacity(hops);
+        let mut route = Vec::with_capacity(self.capacity(hops));
         for _ in 0..hops {
             route.push(NodeId::new(self.u32_le()?));
         }
@@ -676,7 +691,7 @@ impl Cursor<'_> {
         if npat == 0 {
             return Err(CodecError::Malformed("event matches no pattern"));
         }
-        let mut pattern_seqs = Vec::with_capacity(npat);
+        let mut pattern_seqs = Vec::with_capacity(self.capacity(npat));
         for _ in 0..npat {
             let pattern = self.pattern()?;
             let pseq = self.varint()?;

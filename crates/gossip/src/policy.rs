@@ -1120,6 +1120,7 @@ mod tests {
 
     use crate::summary::SummaryDigestPolicy;
     use eps_pubsub::DispatcherConfig;
+    use eps_sim::check::{check, CASES};
     use eps_sim::RngFactory;
 
     fn cfg() -> GossipConfig {
@@ -1395,61 +1396,64 @@ mod tests {
     fn draw_pattern_consumes_the_rng_exactly_like_choose() {
         // Random tables spanning several 64-pattern blocks (Π not a
         // multiple of 64), narrow and wide rows; random `Lost` sets.
-        let mut gen = RngFactory::new(14).stream("draw-contract");
-        for case in 0..256 {
-            let universe = gen.random_range(1..300u64) as u16;
-            let degree = gen.random_range(1..13u64) as u32;
-            let config = DispatcherConfig {
-                pattern_universe: usize::from(universe),
-                ..DispatcherConfig::default()
-            };
-            let mut node = Dispatcher::new(NodeId::new(0), config);
-            let mut positive = PositiveDigest::new();
-            let mut negative = NegativeDigest::new(&cfg());
-            let mut alternating = AlternatingDigest::new(&cfg());
-            let summary_push = SummaryDigestPolicy::push(&cfg());
-            let summary_pull = SummaryDigestPolicy::pull(&cfg());
-            // Case 0 stays empty: no draw may be consumed.
-            let inserts = if case == 0 {
-                0
-            } else {
-                gen.random_range(0..2 * u64::from(universe))
-            };
-            for _ in 0..inserts {
-                let p = PatternId::new(gen.random_range(0..u64::from(universe)) as u16);
-                if gen.random_bool(0.3) {
-                    node.subscribe_local(p, &[]);
+        check(
+            "draw_pattern_consumes_the_rng_exactly_like_choose",
+            CASES,
+            |gen| {
+                let universe = gen.random_range(1..300u64) as u16;
+                let degree = gen.random_range(1..13u64) as u32;
+                let config = DispatcherConfig {
+                    pattern_universe: usize::from(universe),
+                    ..DispatcherConfig::default()
+                };
+                let mut node = Dispatcher::new(NodeId::new(0), config);
+                let mut positive = PositiveDigest::new();
+                let mut negative = NegativeDigest::new(&cfg());
+                let mut alternating = AlternatingDigest::new(&cfg());
+                let summary_push = SummaryDigestPolicy::push(&cfg());
+                let summary_pull = SummaryDigestPolicy::pull(&cfg());
+                // One case in eight stays empty: no draw may be consumed.
+                let inserts = if gen.random_below(8) == 0 {
+                    0
                 } else {
-                    let from = NodeId::new(1 + gen.random_range(0..u64::from(degree)) as u32);
-                    node.on_subscribe(p, from, &[]);
+                    gen.random_range(0..2 * u64::from(universe))
+                };
+                for _ in 0..inserts {
+                    let p = PatternId::new(gen.random_range(0..u64::from(universe)) as u16);
+                    if gen.random_bool(0.3) {
+                        node.subscribe_local(p, &[]);
+                    } else {
+                        let from = NodeId::new(1 + gen.random_range(0..u64::from(degree)) as u32);
+                        node.on_subscribe(p, from, &[]);
+                    }
+                    if gen.random_bool(0.2) {
+                        let loss = [record(
+                            gen.random_range(0..5u64) as u32,
+                            p.index() as u16,
+                            0,
+                        )];
+                        negative.on_losses(&loss);
+                        alternating.on_losses(&loss);
+                    }
                 }
-                if gen.random_bool(0.2) {
-                    let loss = [record(
-                        gen.random_range(0..5u64) as u32,
-                        p.index() as u16,
-                        0,
-                    )];
-                    negative.on_losses(&loss);
-                    alternating.on_losses(&loss);
+                let table: Vec<PatternId> = node.table().all_patterns().collect();
+                let lost = negative.lost().patterns();
+                let mut rng = Rng::from_seed(gen.next_u64());
+                for _ in 0..4 {
+                    positive.begin_round();
+                    assert_draws_like_choose(&positive, &node, &table, &mut rng);
+                    assert_draws_like_choose(&summary_push, &node, &table, &mut rng);
+                    assert_draws_like_choose(&summary_pull, &node, &table, &mut rng);
+                    assert_draws_like_choose(&negative, &node, &lost, &mut rng);
+                    alternating.begin_round();
+                    assert!(alternating.in_positive_phase());
+                    assert_draws_like_choose(&alternating, &node, &table, &mut rng);
+                    alternating.begin_round();
+                    assert!(!alternating.in_positive_phase());
+                    assert_draws_like_choose(&alternating, &node, &lost, &mut rng);
                 }
-            }
-            let table: Vec<PatternId> = node.table().all_patterns().collect();
-            let lost = negative.lost().patterns();
-            let mut rng = RngFactory::new(case).stream("gossip");
-            for _ in 0..4 {
-                positive.begin_round();
-                assert_draws_like_choose(&positive, &node, &table, &mut rng);
-                assert_draws_like_choose(&summary_push, &node, &table, &mut rng);
-                assert_draws_like_choose(&summary_pull, &node, &table, &mut rng);
-                assert_draws_like_choose(&negative, &node, &lost, &mut rng);
-                alternating.begin_round();
-                assert!(alternating.in_positive_phase());
-                assert_draws_like_choose(&alternating, &node, &table, &mut rng);
-                alternating.begin_round();
-                assert!(!alternating.in_positive_phase());
-                assert_draws_like_choose(&alternating, &node, &lost, &mut rng);
-            }
-        }
+            },
+        );
     }
 
     #[test]

@@ -114,33 +114,101 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eps_sim::check::{check, vec_of, CASES};
+    use eps_sim::Rng;
 
-    #[test]
-    fn frames_roundtrip_through_arbitrary_splits() {
-        let bodies: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![9; 300]];
-        let mut wire = Vec::new();
-        for b in &bodies {
-            wire.extend_from_slice(&frame(b));
-        }
-        // Feed the stream one byte at a time — the worst fragmentation
-        // a socket can produce.
+    /// Feeds `stream` to a reader in chunks of `chunk(bytes left)` bytes
+    /// and takes frames out after each. Returns the frames, then either
+    /// the bytes left pending at the end or the first error.
+    fn read_chunks(
+        stream: &[u8],
+        mut chunk: impl FnMut(usize) -> usize,
+    ) -> (Vec<Vec<u8>>, Result<usize, FrameTooLarge>) {
         let mut reader = FrameReader::new();
-        let mut got = Vec::new();
-        for &byte in &wire {
-            reader.extend(&[byte]);
-            while let Some(body) = reader.next_frame().expect("clean stream") {
-                got.push(body);
+        let mut frames = Vec::new();
+        let mut rest = stream;
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(chunk(rest.len()));
+            reader.extend(now);
+            rest = later;
+            loop {
+                match reader.next_frame() {
+                    Ok(Some(body)) => frames.push(body),
+                    Ok(None) => break,
+                    Err(e) => return (frames, Err(e)),
+                }
             }
         }
-        assert_eq!(got, bodies);
-        assert_eq!(reader.pending(), 0);
+        (frames, Ok(reader.pending()))
+    }
+
+    /// Chunks of 1 to 64 bytes: single bytes are the worst
+    /// fragmentation a socket can produce.
+    fn random_split(stream: &[u8], rng: &mut Rng) -> (Vec<Vec<u8>>, Result<usize, FrameTooLarge>) {
+        read_chunks(stream, |left| {
+            1 + rng.random_below(left.min(64) as u64) as usize
+        })
+    }
+
+    /// A stream of framed random bodies, with an oversized length
+    /// prefix at a random frame boundary in half the cases, comes out
+    /// as exactly those bodies followed by exactly that error, however
+    /// the stream is split.
+    #[test]
+    fn frames_and_oversized_prefixes_survive_any_split() {
+        check(
+            "frames_and_oversized_prefixes_survive_any_split",
+            CASES,
+            |rng| {
+                let bodies = vec_of(rng, 0..12, |r| vec_of(r, 0..300, |r| r.next_u64() as u8));
+                let cut = rng.random_below(bodies.len() as u64 + 1) as usize;
+                let bad = rng.random_bool(0.5).then(|| {
+                    if rng.random_bool(0.25) {
+                        MAX_FRAME + 1
+                    } else {
+                        rng.random_range(MAX_FRAME as u64 + 1..u64::from(u32::MAX) + 1) as usize
+                    }
+                });
+                let kept = if bad.is_some() { cut } else { bodies.len() };
+                let mut wire: Vec<u8> = bodies[..kept].iter().flat_map(|b| frame(b)).collect();
+                if let Some(claimed) = bad {
+                    wire.extend_from_slice(&(claimed as u32).to_le_bytes());
+                    // Whatever follows the corrupt prefix is never read.
+                    wire.extend(vec_of(rng, 0..64, |r| r.next_u64() as u8));
+                }
+                let (frames, end) = random_split(&wire, rng);
+                assert_eq!(frames, bodies[..kept]);
+                assert_eq!(
+                    end,
+                    bad.map_or(Ok(0), |claimed| Err(FrameTooLarge { claimed }))
+                );
+            },
+        );
+    }
+
+    /// Noise reads the same however it is split: the same frames, then
+    /// the same error or the same pending tail.
+    #[test]
+    fn noise_reads_the_same_under_any_split() {
+        check("noise_reads_the_same_under_any_split", CASES, |rng| {
+            let noise = vec_of(rng, 0..2_000, |r| {
+                // Small length-prefix bytes, so some noise frames complete.
+                if r.random_bool(0.5) {
+                    r.random_below(4) as u8
+                } else {
+                    r.next_u64() as u8
+                }
+            });
+            let whole = read_chunks(&noise, |left| left);
+            assert_eq!(random_split(&noise, rng), whole);
+        });
     }
 
     #[test]
-    fn oversized_length_prefix_is_an_error() {
+    fn a_prefix_of_exactly_max_frame_is_accepted() {
         let mut reader = FrameReader::new();
-        reader.extend(&((MAX_FRAME as u32) + 1).to_le_bytes());
-        assert!(reader.next_frame().is_err());
+        reader.extend(&(MAX_FRAME as u32).to_le_bytes());
+        assert_eq!(reader.next_frame(), Ok(None), "waits for the body");
     }
 
     #[test]

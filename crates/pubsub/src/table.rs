@@ -714,6 +714,7 @@ impl Eq for SubscriptionTable {}
 mod tests {
     use super::*;
     use crate::event::EventId;
+    use eps_sim::check::{check, CASES};
 
     fn ev(patterns: &[u16]) -> Event {
         Event::new(
@@ -926,8 +927,7 @@ mod tests {
 
     #[test]
     fn nth_pattern_matches_all_patterns_for_random_tables() {
-        let mut rng = eps_sim::RngFactory::new(7).stream("nth-pattern");
-        for case in 0..256u64 {
+        check("nth_pattern_matches_all_patterns", CASES, |rng| {
             // Universes from under one 64-pattern block to several,
             // mostly not multiples of 64; some tables start undersized
             // (or unsized) and grow past `with_dims` on demand.
@@ -935,7 +935,7 @@ mod tests {
             let sized = rng.random_range(0..u64::from(universe) + 1) as usize;
             // Up to 12 neighbors: past 8 the rows upgrade to wide masks.
             let degree = rng.random_range(1..13u64) as u32;
-            let mut t = if case % 4 == 0 {
+            let mut t = if rng.random_bool(0.25) {
                 SubscriptionTable::new()
             } else {
                 SubscriptionTable::with_dims(sized, degree as usize)
@@ -965,7 +965,7 @@ mod tests {
                 }
             }
             assert_nth_matches_listing(&t);
-        }
+        });
     }
 
     #[test]

@@ -103,15 +103,11 @@ impl<M> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng;
-
-    /// Random cases per calendar property (proptest's default count).
-    const CASES: u64 = 256;
+    use crate::check::{check, CASES};
 
     #[test]
     fn pops_are_time_ordered_and_complete_for_random_schedules() {
-        let mut rng = Rng::from_seed(0xca1e);
-        for _ in 0..CASES {
+        check("pops_are_time_ordered_and_complete", CASES, |rng| {
             let count = 1 + rng.random_below(199) as usize;
             let delays: Vec<u64> = (0..count).map(|_| rng.random_below(1_000_000)).collect();
             let mut engine = Engine::new();
@@ -128,15 +124,14 @@ mod tests {
                 last = t;
             }
             assert!(seen.iter().all(|&s| s), "some event never fired");
-        }
+        });
     }
 
     /// Events scheduled for one instant fire in scheduling order, even
     /// when other instants are interleaved with them.
     #[test]
     fn same_instant_ties_fire_fifo_for_random_schedules() {
-        let mut rng = Rng::from_seed(0xf1f0);
-        for _ in 0..CASES {
+        check("same_instant_ties_fire_fifo", CASES, |rng| {
             let count = 1 + rng.random_below(99) as usize;
             let at = SimTime::from_nanos(rng.random_below(1_000_000));
             let mut engine = Engine::new();
@@ -152,7 +147,7 @@ mod tests {
                 .filter_map(|(_, i)| i)
                 .collect();
             assert_eq!(order, (0..count).collect::<Vec<_>>());
-        }
+        });
     }
 
     #[test]

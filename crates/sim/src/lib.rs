@@ -20,7 +20,9 @@
 //!   needs no external crates);
 //! - [`Summary`], [`RatioSeries`], [`quantile`] — the statistics
 //!   helpers used to build the paper's delivery-rate and overhead
-//!   figures.
+//!   figures;
+//! - [`check`] — the seeded property harness every property test in
+//!   the workspace runs on.
 //!
 //! # Examples
 //!
@@ -48,6 +50,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod check;
 mod engine;
 mod keyed;
 mod rng;
